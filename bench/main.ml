@@ -1883,9 +1883,9 @@ let run_monitor_smoke () =
 
 (* One fleet run: generated labeling campaigns partitioned over [shards]
    engine shards, driven to completion by the simulated crowd through the
-   server's task-queue API. Ops are the requests the shards actually
-   pumped (leases, answers, reclaims, samples); latency percentiles are
-   exact order statistics over the per-request service times. *)
+   server's task-queue API. Ops are the calls the server made into its
+   shards (leases, answers, reclaims, samples); latency percentiles are
+   exact order statistics over the per-call service times. *)
 type serve_run = {
   sv_shards : int;
   sv_campaigns : int;

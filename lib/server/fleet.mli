@@ -72,7 +72,7 @@ type shard_input = {
 type t = {
   shards : int;
   live_shards : int;  (** shards that contributed (not crashed) *)
-  requests : int;  (** total pumped requests across the fleet *)
+  requests : int;  (** calls into a shard, summed across the fleet *)
   pending : int;
   p50_ns : float;
   p95_ns : float;

@@ -55,30 +55,10 @@ let open_campaign t ~name ?(partition_by = []) ?lease ?policy ?relations
     t.pool;
   t.open_names <- name :: t.open_names
 
-(* The synchronous facade: post one ticket, then round-robin pump every
-   shard until it fills. Each iteration executes at most one request per
-   shard, so no shard's queue can starve behind the caller's. *)
-let await t ticket =
-  let rec loop () =
-    match Shard.reply ticket with
-    | Some r -> r
-    | None ->
-        let progressed =
-          Array.fold_left
-            (fun acc sh -> Shard.pump_one sh || acc)
-            false t.pool
-        in
-        if not progressed then
-          (* the ticket is queued on some shard, so a full unproductive
-             sweep is impossible; guard against it anyway *)
-          failwith "server: request lost"
-        else loop ()
-  in
-  loop ()
-
-let request t i ~campaign req =
+(* Every call into a shard counts once in [server.requests]. *)
+let call t i =
   Telemetry.Metrics.incr t.server_metrics "server.requests";
-  await t (Shard.post t.pool.(i) ~campaign req)
+  t.pool.(i)
 
 let lease t ~campaign ~worker ~now =
   let n = shards t in
@@ -88,9 +68,9 @@ let lease t ~campaign ~worker ~now =
     else begin
       let s = (start + i) mod n in
       Telemetry.Metrics.incr t.server_metrics "server.lease_probes";
-      match request t s ~campaign (Shard.Lease { worker; now }) with
-      | Shard.Granted (ot, view) -> Some ({ shard = s; local = ot.id }, ot, view)
-      | _ -> probe (i + 1)
+      match Shard.lease (call t s) ~campaign ~worker ~now with
+      | Ok (Some (ot, view)) -> Some ({ shard = s; local = ot.id }, ot, view)
+      | Ok None | Error `Crashed -> probe (i + 1)
     end
   in
   probe 0
@@ -100,59 +80,48 @@ type answer_result =
   | Rejected of Engine.reject
   | Shard_down of int
 
-let answer_of_reply s = function
-  | Shard.Answered ev -> Accepted ev
-  | Shard.Rejected rej -> Rejected rej
-  | Shard.Crashed_shard -> Shard_down s
-  | _ -> Shard_down s
+let answer_result s = function
+  | Ok (Ok ev) -> Accepted ev
+  | Ok (Error rej) -> Rejected rej
+  | Error `Crashed -> Shard_down s
 
 let supply t ~campaign (task : task_ref) ~worker values =
-  answer_of_reply task.shard
-    (request t task.shard ~campaign
-       (Shard.Supply { task = task.local; worker; values }))
+  answer_result task.shard
+    (Shard.supply (call t task.shard) ~campaign task.local ~worker values)
 
 let answer_existence t ~campaign (task : task_ref) ~worker yes =
-  answer_of_reply task.shard
-    (request t task.shard ~campaign
-       (Shard.Answer { task = task.local; worker; yes }))
+  answer_result task.shard
+    (Shard.answer_existence (call t task.shard) ~campaign task.local ~worker yes)
 
 let decline t ~campaign (task : task_ref) =
-  ignore (request t task.shard ~campaign (Shard.Decline { task = task.local }))
+  ignore (Shard.decline (call t task.shard) ~campaign task.local)
 
 let reclaim t ~campaign ~now =
   let total = ref 0 in
-  Array.iteri
-    (fun i _ ->
-      match request t i ~campaign (Shard.Reclaim { now }) with
-      | Shard.Reclaimed n -> total := !total + n
-      | _ -> ())
-    t.pool;
+  for i = 0 to shards t - 1 do
+    match Shard.reclaim (call t i) ~campaign ~now with
+    | Ok n -> total := !total + n
+    | Error `Crashed -> ()
+  done;
   !total
 
+(* Shard ascending, each shard's firings in order. *)
 let sample t ~campaign ~round =
-  let firings = ref [] in
-  Array.iteri
-    (fun i _ ->
-      match request t i ~campaign (Shard.Sample { round }) with
-      | Shard.Sampled fs ->
-          firings := !firings @ List.map (fun f -> (i, f)) fs
-      | _ -> ())
-    t.pool;
-  !firings
+  List.concat
+    (List.init (shards t) (fun i ->
+         match Shard.sample (call t i) ~campaign ~round with
+         | Ok fs -> List.map (fun f -> (i, f)) fs
+         | Error `Crashed -> []))
 
 type cursor = { c_campaign : string; pos : int array }
 
 let poll_cursor t ~campaign =
-  {
-    c_campaign = campaign;
-    pos =
-      Array.map
-        (fun sh ->
-          match Shard.engine sh ~campaign with
-          | Some e -> Engine.event_count e
-          | None -> 0)
-        t.pool;
-  }
+  if not (List.mem campaign t.open_names) then
+    invalid_arg (Printf.sprintf "poll_cursor: unknown campaign %S" campaign);
+  let pos sh =
+    Option.fold ~none:0 ~some:Engine.event_count (Shard.engine sh ~campaign)
+  in
+  { c_campaign = campaign; pos = Array.map pos t.pool }
 
 type resolution =
   | Task_resolved of { task : task_ref; quorum : bool }
@@ -190,7 +159,8 @@ let resolutions_of_event s (ev : Engine.event) =
 let resolve_poll t ~campaign cursor =
   if cursor.c_campaign <> campaign then
     invalid_arg "resolve_poll: cursor belongs to another campaign";
-  let out = ref [] in
+  (* newest first, reversed once at the end: shard ascending, log order *)
+  let rev = ref [] in
   Array.iteri
     (fun i sh ->
       if not (Shard.slot_failed sh ~campaign) then
@@ -200,10 +170,10 @@ let resolve_poll t ~campaign cursor =
             let events = Engine.events_since e ~after:cursor.pos.(i) in
             cursor.pos.(i) <- cursor.pos.(i) + List.length events;
             List.iter
-              (fun ev -> out := !out @ resolutions_of_event i ev)
+              (fun ev -> rev := List.rev_append (resolutions_of_event i ev) !rev)
               events)
     t.pool;
-  !out
+  List.rev !rev
 
 let pending_total t =
   Array.fold_left (fun acc sh -> acc + Shard.pending_total sh) 0 t.pool

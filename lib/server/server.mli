@@ -2,12 +2,12 @@
 
     One process, N engine shards: each shard runs its own engines (one
     per campaign, each with its own durable journal directory under
-    [journal_root/shard-<i>/<campaign>]) behind a per-shard mailbox. The
-    public calls below are synchronous facades: each posts a ticketed
-    request to the owning shard and round-robin-pumps {e all} shards
-    until the ticket resolves — so every shard makes progress on its own
-    queue regardless of which one the caller is waiting on, and the whole
-    fleet stays deterministic (no threads, one total order per shard).
+    [journal_root/shard-<i>/<campaign>]). The public calls below are
+    synchronous: each calls the owning shard's verbs directly
+    ({!Shard.lease}, {!Shard.supply}, ...) and returns its result, so the
+    whole fleet stays deterministic (no threads, one total order per
+    shard). Every call naming a campaign that was never opened raises
+    [Invalid_argument].
 
     {b Routing.} A campaign is opened with a partition map
     ({!Router.placement}): base facts of partitioned relations go only to
@@ -22,7 +22,7 @@
     {b Recovery.} A storage crash fails only the affected slot; the rest
     of the fleet keeps serving. {!recover_shard} rebuilds the failed
     slot from its journal (O(live state) after compaction); acknowledged
-    operations — those whose reply the caller saw — are never lost.
+    operations — those whose result the caller saw — are never lost.
 
     See docs/SERVER.md for the architecture and the [server.*]/[shard.*]
     metric catalogue. *)
@@ -106,7 +106,7 @@ val supply :
   (string * Reldb.Value.t) list ->
   answer_result
 (** Route an answer to the task's owning shard ({!Cylog.Engine.supply});
-    on success the shard's engine runs to quiescence before the reply. *)
+    on success the shard's engine runs to quiescence before it returns. *)
 
 val answer_existence :
   t ->
@@ -165,4 +165,4 @@ val recover_shard :
   unit ->
   Engine.recovery_stats
 (** Rebuild one shard's slot from its journal ({!Shard.recover_slot}) —
-    the operator's repair verb after a [Shard_down] reply. *)
+    the operator's repair verb after a [Shard_down] result. *)

@@ -1,31 +1,5 @@
 open Cylog
 
-type request =
-  | Lease of { worker : Reldb.Value.t; now : int }
-  | Supply of {
-      task : Engine.open_id;
-      worker : Reldb.Value.t;
-      values : (string * Reldb.Value.t) list;
-    }
-  | Answer of { task : Engine.open_id; worker : Reldb.Value.t; yes : bool }
-  | Decline of { task : Engine.open_id }
-  | Reclaim of { now : int }
-  | Sample of { round : int }
-
-type reply =
-  | Granted of Engine.open_tuple * string option
-  | No_task
-  | Answered of Engine.event
-  | Rejected of Engine.reject
-  | Declined
-  | Reclaimed of int
-  | Sampled of Monitor.firing list
-  | Crashed_shard
-
-type ticket = { mutable filled : reply option }
-
-let reply t = t.filled
-
 type slot = {
   campaign : string;
   mutable engine : Engine.t;
@@ -39,9 +13,8 @@ type t = {
   sid : int;
   slots : (string, slot) Hashtbl.t;
   mutable order : string list;  (* campaign names, reverse opening order *)
-  mailbox : (string * request * ticket) Queue.t;
   shard_metrics : Telemetry.Metrics.t;
-  (* request service times in ns; growable, observability-only *)
+  (* call service times in ns; growable, observability-only *)
   mutable lat : int array;
   mutable lat_n : int;
 }
@@ -51,7 +24,6 @@ let create ~id =
     sid = id;
     slots = Hashtbl.create 7;
     order = [];
-    mailbox = Queue.create ();
     shard_metrics = Telemetry.Metrics.create ();
     lat = Array.make 64 0;
     lat_n = 0;
@@ -101,106 +73,79 @@ let slot_failed t ~campaign =
 let failed t =
   Hashtbl.fold (fun _ s acc -> acc || s.crashed) t.slots false
 
-let post t ~campaign req =
-  let ticket = { filled = None } in
-  Queue.add (campaign, req, ticket) t.mailbox;
-  ticket
+type 'a call = ('a, [ `Crashed ]) result
 
-(* The lease step: the oldest pending task this worker may take — skipping
-   tasks they already voted on, and (under the lease runtime) tasks whose
-   lease slots are all held. The engine's own capacity rules decide; this
-   loop just walks candidates in age order. *)
-let grant_lease slot ~worker ~now =
-  let e = slot.engine in
-  let candidates =
-    List.filter
-      (fun (ot : Engine.open_tuple) ->
-        not (Engine.has_voted e ot.id ~worker))
-      (Engine.pending_for e worker)
-  in
-  let leases_on = Engine.lease_config e <> None in
-  let rec pick = function
-    | [] -> No_task
-    | (ot : Engine.open_tuple) :: rest ->
-        if not leases_on then Granted (ot, Engine.task_view e ot)
-        else (
-          match Engine.assign e ot.id ~worker ~now with
-          | Ok _ -> Granted (ot, Engine.task_view e ot)
-          | Error _ -> pick rest)
-  in
-  pick candidates
+let slot t campaign =
+  match find t campaign with
+  | Some s -> s
+  | None ->
+      invalid_arg (Printf.sprintf "shard %d: unknown campaign %S" t.sid campaign)
 
-let execute t slot req =
-  let m = t.shard_metrics in
-  match req with
-  | Lease { worker; now } -> (
-      match grant_lease slot ~worker ~now with
-      | Granted _ as r ->
-          Telemetry.Metrics.incr m "shard.leases_granted";
-          r
-      | r ->
-          Telemetry.Metrics.incr m "shard.leases_refused";
-          r)
-  | Supply { task; worker; values } -> (
-      match Engine.supply slot.engine task ~worker values with
-      | Ok ev ->
-          ignore (Engine.run slot.engine);
-          Telemetry.Metrics.incr m "shard.answers_accepted";
-          Answered ev
-      | Error rej ->
-          Telemetry.Metrics.incr m "shard.answers_rejected";
-          Rejected rej)
-  | Answer { task; worker; yes } -> (
-      match Engine.answer_existence slot.engine task ~worker yes with
-      | Ok ev ->
-          ignore (Engine.run slot.engine);
-          Telemetry.Metrics.incr m "shard.answers_accepted";
-          Answered ev
-      | Error rej ->
-          Telemetry.Metrics.incr m "shard.answers_rejected";
-          Rejected rej)
-  | Decline { task } ->
-      Engine.decline slot.engine task;
-      ignore (Engine.run slot.engine);
-      Declined
-  | Reclaim { now } ->
-      let expired = Engine.reclaim slot.engine ~now in
-      ignore (Engine.run slot.engine);
-      Reclaimed (List.length expired)
-  | Sample { round } -> Sampled (Engine.monitor_sample slot.engine ~round)
+(* The one guard every verb runs through: count the call, find the slot,
+   time the engine work into the latency samples, and contain a storage
+   crash to this slot. *)
+let guard t ~campaign f =
+  Telemetry.Metrics.incr t.shard_metrics "shard.requests";
+  let slot = slot t campaign in
+  if slot.crashed then Error `Crashed
+  else
+    let t0 = Unix.gettimeofday () in
+    match f slot.engine with
+    | r ->
+        record_latency t (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
+        Ok r
+    | exception (Storage.Crashed | Storage.No_space) ->
+        slot.crashed <- true;
+        Telemetry.Metrics.incr t.shard_metrics "shard.crashes";
+        Error `Crashed
 
-let pump_one t =
-  match Queue.take_opt t.mailbox with
-  | None -> false
-  | Some (campaign, req, ticket) ->
-      Telemetry.Metrics.incr t.shard_metrics "shard.requests";
-      let answer =
-        match find t campaign with
-        | None -> Crashed_shard
-        | Some slot when slot.crashed -> Crashed_shard
-        | Some slot -> (
-            let t0 = Unix.gettimeofday () in
-            try
-              let r = execute t slot req in
-              record_latency t
-                (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-              r
-            with Storage.Crashed | Storage.No_space ->
-              slot.crashed <- true;
-              Telemetry.Metrics.incr t.shard_metrics "shard.crashes";
-              Crashed_shard)
+(* One pass over the worker's pending tasks in age order, stopping at the
+   first grant: skip tasks they already voted on and, under the lease
+   runtime, tasks the engine will not lease to them. *)
+let lease t ~campaign ~worker ~now =
+  guard t ~campaign (fun e ->
+      let leases_on = Engine.lease_config e <> None in
+      let grantable (ot : Engine.open_tuple) =
+        (not (Engine.has_voted e ot.id ~worker))
+        && ((not leases_on) || Result.is_ok (Engine.assign e ot.id ~worker ~now))
       in
-      ticket.filled <- Some answer;
-      true
+      match List.find_opt grantable (Engine.pending_for e worker) with
+      | Some ot ->
+          Telemetry.Metrics.incr t.shard_metrics "shard.leases_granted";
+          Some (ot, Engine.task_view e ot)
+      | None ->
+          Telemetry.Metrics.incr t.shard_metrics "shard.leases_refused";
+          None)
 
-let pump t =
-  let n = ref 0 in
-  while pump_one t do
-    incr n
-  done;
-  !n
+let answered t e = function
+  | Ok _ as r ->
+      ignore (Engine.run e);
+      Telemetry.Metrics.incr t.shard_metrics "shard.answers_accepted";
+      r
+  | Error _ as r ->
+      Telemetry.Metrics.incr t.shard_metrics "shard.answers_rejected";
+      r
 
-let queue_length t = Queue.length t.mailbox
+let supply t ~campaign task ~worker values =
+  guard t ~campaign (fun e -> answered t e (Engine.supply e task ~worker values))
+
+let answer_existence t ~campaign task ~worker yes =
+  guard t ~campaign (fun e ->
+      answered t e (Engine.answer_existence e task ~worker yes))
+
+let decline t ~campaign task =
+  guard t ~campaign (fun e ->
+      Engine.decline e task;
+      ignore (Engine.run e))
+
+let reclaim t ~campaign ~now =
+  guard t ~campaign (fun e ->
+      let expired = Engine.reclaim e ~now in
+      ignore (Engine.run e);
+      List.length expired)
+
+let sample t ~campaign ~round =
+  guard t ~campaign (fun e -> Engine.monitor_sample e ~round)
 
 let pending_total t =
   Hashtbl.fold
@@ -209,28 +154,24 @@ let pending_total t =
     t.slots 0
 
 let recover_slot t ~campaign ?builtins ?aggregate ?storage () =
-  match find t campaign with
+  let slot = slot t campaign in
+  match slot.journal_dir with
   | None ->
-      failwith (Printf.sprintf "shard %d: unknown campaign %S" t.sid campaign)
-  | Some slot -> (
-      match slot.journal_dir with
-      | None ->
-          failwith
-            (Printf.sprintf "shard %d: campaign %S has no journal" t.sid
-               campaign)
-      | Some dir ->
-          (match storage with Some _ -> slot.storage <- storage | None -> ());
-          (* Keep the slot's journal config across reopen: recovery with a
-             different fsync/rotation policy would silently change the
-             durability contract of the resumed campaign. *)
-          (* No catch-up [run] here: the journal replay already reproduced
-             quiescence, and an extra run would journal a fresh entry —
-             breaking byte-equality with the pre-crash trace. *)
-          let engine, stats =
-            Engine.recover ?builtins ?aggregate ?config:slot.journal_config
-              ?storage:slot.storage dir
-          in
-          slot.engine <- engine;
-          slot.crashed <- false;
-          Telemetry.Metrics.incr t.shard_metrics "shard.recoveries";
-          stats)
+      failwith
+        (Printf.sprintf "shard %d: campaign %S has no journal" t.sid campaign)
+  | Some dir ->
+      (match storage with Some _ -> slot.storage <- storage | None -> ());
+      (* Keep the slot's journal config across reopen: recovery with a
+         different fsync/rotation policy would silently change the
+         durability contract of the resumed campaign. *)
+      (* No catch-up [run] here: the journal replay already reproduced
+         quiescence, and an extra run would journal a fresh entry —
+         breaking byte-equality with the pre-crash trace. *)
+      let engine, stats =
+        Engine.recover ?builtins ?aggregate ?config:slot.journal_config
+          ?storage:slot.storage dir
+      in
+      slot.engine <- engine;
+      slot.crashed <- false;
+      Telemetry.Metrics.incr t.shard_metrics "shard.recoveries";
+      stats

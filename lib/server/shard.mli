@@ -1,59 +1,28 @@
-(** One engine shard: a mailbox-driven run-loop over per-campaign engines.
+(** One engine shard: per-campaign engines behind typed verbs.
 
-    A shard owns one {!Cylog.Engine} per open campaign (each with its own
-    durable journal directory) and a FIFO mailbox of requests. Nothing
-    executes at post time: {!post} enqueues a ticketed request and returns
-    immediately; {!pump_one} dequeues and executes exactly one request
-    against the addressed slot, runs the engine to quiescence when the
-    request mutated it, and fills the ticket's reply. The server's
-    synchronous facade round-robin-pumps all shards until its ticket
-    resolves, so shards make progress independently of each other while
-    the whole fleet stays deterministic — no threads, one total order of
-    requests per shard, byte-identical traces run to run.
+    A shard owns one {!Cylog.Engine} per open campaign, each with its own
+    durable journal directory. The server calls the verbs below directly
+    and synchronously: each runs its engine call against the addressed
+    slot and, when the call mutated the engine, runs it to quiescence
+    before returning. Calls on a shard execute in the order they are made
+    — no threads, one total order per shard, byte-identical traces run to
+    run.
 
-    A storage crash ({!Cylog.Storage.Crashed} / [No_space]) while pumping
-    marks the slot failed; subsequent requests to it answer
-    [Crashed_shard] without touching the engine, until {!recover_slot}
-    rebuilds it from its journal ({!Cylog.Engine.recover}) — restore work
-    is O(live state) after compaction, independent of campaign length. *)
+    Every verb goes through one guard: it counts [shard.requests], looks
+    up the slot, times the call into {!latencies_ns}, and turns a storage
+    crash ({!Cylog.Storage.Crashed} / [No_space]) into [Error `Crashed],
+    marking only that slot failed. A failed slot answers [Error `Crashed]
+    without touching the engine until {!recover_slot} rebuilds it from
+    its journal ({!Cylog.Engine.recover}) — restore work is O(live state)
+    after compaction. A campaign that was never opened raises
+    [Invalid_argument]. *)
 
 open Cylog
-
-type request =
-  | Lease of { worker : Reldb.Value.t; now : int }
-      (** grant the worker a pending task (oldest assignable first);
-          under the lease runtime this takes an engine lease *)
-  | Supply of {
-      task : Engine.open_id;
-      worker : Reldb.Value.t;
-      values : (string * Reldb.Value.t) list;
-    }
-  | Answer of { task : Engine.open_id; worker : Reldb.Value.t; yes : bool }
-  | Decline of { task : Engine.open_id }
-  | Reclaim of { now : int }  (** expire overdue leases *)
-  | Sample of { round : int }  (** take a monitor sample *)
-
-type reply =
-  | Granted of Engine.open_tuple * string option
-      (** the task and its rendered view, if the program declares one *)
-  | No_task
-  | Answered of Engine.event
-  | Rejected of Engine.reject
-  | Declined
-  | Reclaimed of int  (** leases expired by this reclaim *)
-  | Sampled of Monitor.firing list
-  | Crashed_shard  (** the slot's storage crashed; recover it first *)
-
-type ticket
-(** A pending reply slot, filled when the request is pumped. *)
-
-val reply : ticket -> reply option
-(** [None] until the request has been executed. *)
 
 type t
 
 val create : id:int -> t
-(** An empty shard with no campaigns and an empty mailbox. *)
+(** An empty shard with no campaigns. *)
 
 val id : t -> int
 
@@ -89,26 +58,51 @@ val engine : t -> campaign:string -> Engine.t option
 
 val slot_failed : t -> campaign:string -> bool
 val failed : t -> bool
-(** Some slot is crashed and awaiting recovery. *)
+(** Some slot is crashed and waiting for recovery. *)
 
-val post : t -> campaign:string -> request -> ticket
-(** Enqueue; never executes. Unknown campaigns are answered
-    [Crashed_shard] at pump time (the router should prevent this). *)
+type 'a call = ('a, [ `Crashed ]) result
+(** A verb's outcome: [Error `Crashed] when the slot is (or just became)
+    failed. *)
 
-val pump_one : t -> bool
-(** Execute the oldest queued request, if any; [false] on an empty
-    mailbox. *)
+val lease :
+  t ->
+  campaign:string ->
+  worker:Reldb.Value.t ->
+  now:int ->
+  (Engine.open_tuple * string option) option call
+(** The oldest pending task this worker may take, with its rendered view:
+    tasks the worker already voted on are skipped and, under the lease
+    runtime, so are tasks whose lease slots are all held. *)
 
-val pump : t -> int
-(** Drain the mailbox; the number of requests executed. *)
+val supply :
+  t ->
+  campaign:string ->
+  Engine.open_id ->
+  worker:Reldb.Value.t ->
+  (string * Reldb.Value.t) list ->
+  (Engine.event, Engine.reject) result call
 
-val queue_length : t -> int
+val answer_existence :
+  t ->
+  campaign:string ->
+  Engine.open_id ->
+  worker:Reldb.Value.t ->
+  bool ->
+  (Engine.event, Engine.reject) result call
+
+val decline : t -> campaign:string -> Engine.open_id -> unit call
+
+val reclaim : t -> campaign:string -> now:int -> int call
+(** Expire overdue leases; the number expired. *)
+
+val sample : t -> campaign:string -> round:int -> Monitor.firing list call
+(** Take a monitor sample. *)
 
 val pending_total : t -> int
 (** Pending open tuples summed over live slots. *)
 
 val latencies_ns : t -> int array
-(** Wall-clock service time of every pumped request, nanoseconds, in
+(** Wall-clock service time of every completed call, nanoseconds, in
     execution order — raw samples for the fleet's exact percentiles.
     Observability only: no behaviour depends on these. *)
 
@@ -122,6 +116,6 @@ val recover_slot :
   Engine.recovery_stats
 (** Rebuild a crashed (or live) slot from its journal directory and swap
     the recovered engine in; lease/quorum/monitor config replays from the
-    journal. [storage] replaces the slot's storage (e.g. the post-crash
-    image {!Cylog.Storage.Sim.after_crash}). @raise Failure on unknown
-    campaigns or slots opened without a journal. *)
+    journal. [storage] replaces the slot's storage (e.g. the crash image
+    from {!Cylog.Storage.Sim.after_crash}). @raise Failure on slots
+    opened without a journal. *)

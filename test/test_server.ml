@@ -1,8 +1,9 @@
 (* The sharded campaign server (lib/server): deterministic routing, the
    1-shard differential against a bare engine, per-shard journal replay
-   equivalence, and killing-and-recovering a subset of shards mid-campaign
-   over fault-injecting storage — the fleet must keep serving on the live
-   shards and no acknowledged operation may be lost. *)
+   equivalence, pinned dispatch counters, unknown-campaign rejection, and
+   killing-and-recovering a subset of shards mid-campaign over
+   fault-injecting storage, with and without leases — the fleet must keep
+   serving on the live shards and no acknowledged operation may be lost. *)
 
 open Cylog
 module Sim = Storage.Sim
@@ -172,16 +173,74 @@ let test_multi_shard_replay () =
       done)
     (List.init config.Fleet_sim.campaigns Fleet_sim.campaign_name)
 
+(* --- Dispatch counters ------------------------------------------------------ *)
+
+(* The per-layer dispatch figures (requests per answer, probes per grant)
+   read these counters, so a seeded 4-shard, 2-campaign run pins them
+   exactly: a change to how the server reaches its shards must not change
+   how many calls it makes. *)
+let test_dispatch_counters () =
+  let config = { Fleet_sim.default_config with campaigns = 2; seed = 5 } in
+  let server = Server.create ~shards:4 () in
+  Fleet_sim.open_campaigns server config;
+  let outcome = Fleet_sim.run ~config server in
+  Alcotest.(check int) "both campaigns drained" 48 outcome.Fleet_sim.resolved;
+  let view = Server.stats server in
+  let counter = Telemetry.Metrics.counter view.Server.Fleet.metrics in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) name expected (counter name))
+    [ ("server.requests", 687);
+      ("server.lease_probes", 239);
+      ("shard.requests", 687);
+      ("shard.leases_granted", 144);
+      ("shard.leases_refused", 95);
+      ("shard.answers_accepted", 144);
+      ("shard.answers_rejected", 0) ];
+  Alcotest.(check int) "Fleet.requests" 687 view.Server.Fleet.requests
+
+(* --- Unknown campaigns ------------------------------------------------------ *)
+
+(* A campaign that was never opened is a caller bug, not a shard outage:
+   every campaign-addressed call raises [Invalid_argument] instead of
+   answering as if a shard were down or empty. *)
+let test_unknown_campaign () =
+  let server = Server.create ~shards:2 () in
+  Server.open_campaign server ~name:campaign ~partition_by:Fleet_sim.placements
+    (Fleet_sim.campaign_program ~items:4 ~offset:0);
+  let cursor = Server.poll_cursor server ~campaign in
+  let campaign = "no-such-campaign" in
+  let worker = Reldb.Value.String "w1" in
+  let task = { Server.shard = 0; local = 0 } in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an unknown campaign" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "lease" (fun () -> ignore (Server.lease server ~campaign ~worker ~now:1));
+  raises "supply" (fun () -> ignore (Server.supply server ~campaign task ~worker []));
+  raises "answer_existence" (fun () ->
+      ignore (Server.answer_existence server ~campaign task ~worker true));
+  raises "decline" (fun () -> Server.decline server ~campaign task);
+  raises "reclaim" (fun () -> ignore (Server.reclaim server ~campaign ~now:1));
+  raises "sample" (fun () -> ignore (Server.sample server ~campaign ~round:1));
+  raises "poll_cursor" (fun () -> ignore (Server.poll_cursor server ~campaign));
+  raises "resolve_poll" (fun () -> ignore (Server.resolve_poll server ~campaign cursor));
+  raises "recover_shard" (fun () -> ignore (Server.recover_shard server 0 ~campaign ()))
+
 (* --- Kill and recover a subset of shards mid-campaign ---------------------- *)
 
-(* Shards 0 and 2 run on storage that dies at a planned operation count;
-   shard 1 never faults. The drive loop keeps leasing and supplying
-   through the server API; when a reply says [Shard_down] the loop leaves
+(* Shards 0 and 1 run on storage that dies at a planned operation count;
+   shard 2 never faults. The drive loop keeps
+   leasing and supplying through the server API; when a reply says
+   [Shard_down], or a lease call leaves a shard crashed, the loop leaves
    the shard dead for the rest of the round (the live shards must keep
    accepting answers) and repairs it from the crash image at the start of
    the next round. fsync is [Always], so every acknowledged answer must
-   survive into the recovered engine. *)
-let test_kill_and_recover_subset () =
+   survive into the recovered engine. Under the lease runtime a grant
+   journals its assignment, so a crash can land inside [Server.lease],
+   which must then skip the crashed shard. *)
+let test_kill_and_recover_subset ?lease () =
   let shards = 3 in
   let items = 18 in
   (* Under this item count and hash, shards 0 and 1 own all the work
@@ -198,16 +257,17 @@ let test_kill_and_recover_subset () =
       ~storage:(fun i -> Sim.storage sims.(i))
       ~shards ()
   in
-  (* No lease runtime and no quorum: one accepted answer retires a task,
-     which keeps the op-count coordinate of [crash_at_op] easy to place
-     mid-campaign. *)
+  (* No quorum: one accepted answer retires a task, which keeps the
+     op-count coordinate of [crash_at_op] easy to place mid-campaign. *)
   Server.open_campaign server ~name:campaign ~partition_by:Fleet_sim.placements
-    (Fleet_sim.campaign_program ~items ~offset:0);
+    ?lease (Fleet_sim.campaign_program ~items ~offset:0);
   let cursor = Server.poll_cursor server ~campaign in
   let workers = List.init 4 (fun i -> Reldb.Value.String (Printf.sprintf "w%d" (i + 1))) in
   let acked = Array.make shards 0 in
   let down = Array.make shards false in
   let recoveries = ref 0 in
+  let crashed_in_lease = ref 0 in
+  let granted_past_crash = ref 0 in
   let served_while_down = ref 0 in
   let resolved = ref 0 in
   let answer_for (ot : Engine.open_tuple) =
@@ -242,6 +302,19 @@ let test_kill_and_recover_subset () =
       true
       (stats.Engine.records_replayed <= 16)
   in
+  (* Calls other than supply report no [Shard_down]: mark the shards they
+     left crashed; [true] when there was one. *)
+  let newly_down () =
+    let found = ref false in
+    for i = 0 to shards - 1 do
+      if Server.Shard.slot_failed (Server.shard server i) ~campaign && not down.(i)
+      then begin
+        down.(i) <- true;
+        found := true
+      end
+    done;
+    !found
+  in
   let round = ref 0 in
   (* [pending_total] counts only live slots, so a downed shard hides its
      pending work — keep driving while any shard still needs repair. *)
@@ -250,9 +323,19 @@ let test_kill_and_recover_subset () =
   do
     incr round;
     Array.iteri (fun i d -> if d then recover i) down;
+    if lease <> None then begin
+      ignore (Server.reclaim server ~campaign ~now:!round);
+      ignore (newly_down ())
+    end;
     List.iter
       (fun worker ->
-        match Server.lease server ~campaign ~worker ~now:!round with
+        let leased = Server.lease server ~campaign ~worker ~now:!round in
+        if newly_down () then begin
+          incr crashed_in_lease;
+          (* the probe skipped the crashed shard and granted elsewhere *)
+          if leased <> None then incr granted_past_crash
+        end;
+        match leased with
         | None -> ()
         | Some (task, ot, _view) -> (
             match Server.supply server ~campaign task ~worker (answer_for ot) with
@@ -269,6 +352,11 @@ let test_kill_and_recover_subset () =
       (Server.resolve_poll server ~campaign cursor)
   done;
   Alcotest.(check int) "both planned crashes hit and were repaired" 2 !recoveries;
+  if lease <> None then
+    Alcotest.(check bool) "a crash landed inside a lease grant" true
+      (!crashed_in_lease > 0);
+  Alcotest.(check int) "every lease that crashed a shard granted on another"
+    !crashed_in_lease !granted_past_crash;
   Alcotest.(check bool) "live shards kept serving while a shard was down" true
     (!served_while_down > 0);
   Alcotest.(check int) "campaign drained despite the crashes" 0
@@ -285,7 +373,15 @@ let suite =
       [ Alcotest.test_case "1-shard server is a bare engine, byte for byte" `Quick
           test_one_shard_differential;
         Alcotest.test_case "every shard's journal replays its engine's trace" `Quick
-          test_multi_shard_replay ] );
+          test_multi_shard_replay;
+        Alcotest.test_case "dispatch counters of a seeded 4-shard run" `Quick
+          test_dispatch_counters ] );
+    ( "server.api",
+      [ Alcotest.test_case "unknown campaign names raise Invalid_argument" `Quick
+          test_unknown_campaign ] );
     ( "server.recovery",
       [ Alcotest.test_case "kill and recover a subset of shards mid-campaign" `Quick
-          test_kill_and_recover_subset ] ) ]
+          (test_kill_and_recover_subset ?lease:None);
+        Alcotest.test_case "kill and recover under leases, crashing inside a grant"
+          `Quick
+          (test_kill_and_recover_subset ~lease:Lease.default_config) ] ) ]
