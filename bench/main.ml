@@ -597,16 +597,16 @@ let certificate_snapshot engine =
 (* ------------------------------------------------------------------ *)
 
 (* A chain join written in the worst order for left-to-right evaluation:
-   the selective atom comes last. The planner flips it around; naive
-   evaluation pays for the original order — in particular the seminaive
-   discovery for a new [Edge2] row rescans the whole unbound [Edge1]
-   prefix, because left-to-right order evaluates [Edge1] before the
-   pinned row binds anything. Data at scale [s]: Edge1/Edge2 are chains
-   of [40*s] rows joined on [y]; Target selects [2*s] of the [40*s]
-   chain endpoints. Rows arrive one link per engine round — the
-   incremental regime every crowd-driven program runs in — so naive
-   evaluation is quadratic in the chain length while planned evaluation
-   stays linear. *)
+   the selective atom comes last. Production (delta evaluation with
+   planned joins) pins each new row and lets the planner bind the rest
+   through index probes; the reference evaluator ([~use_delta:false])
+   rescans the whole body in its written order every step. Data at scale
+   [s]: Edge1/Edge2 are chains of [40*s] rows joined on [y]; Target
+   selects [2*s] of the [40*s] chain endpoints. Rows arrive one link per
+   engine round — the incremental regime every crowd-driven program runs
+   in — so the reference is quadratic in the chain length while
+   production stays linear: its rows scanned per chain link are flat
+   across scales. *)
 let joins_src =
   {|schema:
   Edge1(x, y);
@@ -630,9 +630,11 @@ type joins_run = {
   j_trace : (int * string option * (string * Reldb.Value.t) list * bool) list;
 }
 
-let joins_run ?(metrics = true) ~scale ~use_planner () =
-  let n = 40 * scale and t = 2 * scale in
-  let engine = Cylog.Engine.load ~use_planner (Cylog.Parser.parse_exn joins_src) in
+let joins_links scale = 40 * scale
+
+let joins_run ?(metrics = true) ~scale ~use_delta () =
+  let n = joins_links scale and t = 2 * scale in
+  let engine = Cylog.Engine.load ~use_delta (Cylog.Parser.parse_exn joins_src) in
   if not metrics then
     Cylog.Telemetry.Metrics.set_enabled (Cylog.Engine.metrics engine) false;
   let db = Cylog.Engine.database engine in
@@ -658,12 +660,8 @@ let joins_run ?(metrics = true) ~scale ~use_planner () =
   in
   let j_rows_scanned = Cylog.Eval.rows_scanned () in
   let counter = Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine) in
-  let j_cache_hits =
-    counter "planner.rescan_cache.hits" + counter "planner.delta_cache.hits"
-  in
-  let j_cache_misses =
-    counter "planner.rescan_cache.misses" + counter "planner.delta_cache.misses"
-  in
+  let j_cache_hits = counter "planner.delta_cache.hits" in
+  let j_cache_misses = counter "planner.delta_cache.misses" in
   let j_out =
     List.sort compare (Reldb.Relation.tuples (Reldb.Database.find_exn db "Out"))
   in
@@ -677,26 +675,28 @@ let joins_run ?(metrics = true) ~scale ~use_planner () =
   { j_seconds; j_rows_scanned; j_steps; j_cache_hits; j_cache_misses; j_telemetry;
     j_certificate; j_out; j_trace }
 
-type joins_row = { scale : int; naive : joins_run; planned : joins_run }
+type joins_row = { scale : int; reference : joins_run; production : joins_run }
 
 let joins_row scale =
   { scale;
-    naive = joins_run ~scale ~use_planner:false ();
-    planned = joins_run ~scale ~use_planner:true () }
+    reference = joins_run ~scale ~use_delta:false ();
+    production = joins_run ~scale ~use_delta:true () }
 
 let joins_identical r =
-  r.naive.j_out = r.planned.j_out && r.naive.j_trace = r.planned.j_trace
+  r.reference.j_out = r.production.j_out && r.reference.j_trace = r.production.j_trace
+
+let rows_per_link r =
+  float_of_int r.production.j_rows_scanned /. float_of_int (joins_links r.scale)
 
 let pp_joins_row r =
-  let speedup = r.naive.j_seconds /. Float.max 1e-9 r.planned.j_seconds in
+  let speedup = r.reference.j_seconds /. Float.max 1e-9 r.production.j_seconds in
   Format.printf
-    "  %4dx  naive: %8.3fs %10d rows   planned: %8.3fs %10d rows   speedup %6.1fx  identical: %b@."
-    r.scale r.naive.j_seconds r.naive.j_rows_scanned r.planned.j_seconds
-    r.planned.j_rows_scanned speedup (joins_identical r);
-  Format.printf
-    "         plan cache  naive: %d hits / %d misses   planned: %d hits / %d misses@."
-    r.naive.j_cache_hits r.naive.j_cache_misses r.planned.j_cache_hits
-    r.planned.j_cache_misses
+    "  %4dx  reference: %8.3fs %10d rows   production: %8.3fs %10d rows (%.1f/link)   \
+     speedup %6.1fx  identical: %b@."
+    r.scale r.reference.j_seconds r.reference.j_rows_scanned r.production.j_seconds
+    r.production.j_rows_scanned (rows_per_link r) speedup (joins_identical r);
+  Format.printf "         production plan cache: %d hits / %d misses@."
+    r.production.j_cache_hits r.production.j_cache_misses
 
 let joins_json rows =
   let buf = Buffer.create 1024 in
@@ -723,11 +723,11 @@ let joins_json rows =
            \      \"speedup_wall\": %.2f, \"speedup_rows_scanned\": %.2f,\n\
            \      \"identical_results\": %b\n\
            \    }%s\n"
-           r.scale (40 * r.scale) (2 * r.scale) (run "naive" r.naive)
-           (run "planned" r.planned)
-           (r.naive.j_seconds /. Float.max 1e-9 r.planned.j_seconds)
-           (float_of_int r.naive.j_rows_scanned
-           /. Float.max 1.0 (float_of_int r.planned.j_rows_scanned))
+           r.scale (joins_links r.scale) (2 * r.scale) (run "reference" r.reference)
+           (run "production" r.production)
+           (r.reference.j_seconds /. Float.max 1e-9 r.production.j_seconds)
+           (float_of_int r.reference.j_rows_scanned
+           /. Float.max 1.0 (float_of_int r.production.j_rows_scanned))
            (joins_identical r)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -735,7 +735,7 @@ let joins_json rows =
   Buffer.contents buf
 
 let run_joins () =
-  section "Joins: cost-based planning vs left-to-right evaluation";
+  section "Joins: production (delta, planned) vs reference (left-to-right rescan)";
   Format.printf "  body: Out(x, z) <- Edge1(x, y), Edge2(y, z), Target(z)@.";
   let rows = List.map joins_row [ 10; 100 ] in
   List.iter pp_joins_row rows;
@@ -744,23 +744,47 @@ let run_joins () =
   close_out out;
   Format.printf "  wrote BENCH_joins.json@."
 
+(* Growth bound on production's rows scanned per chain link from 1x to
+   10x. Planned delta evaluation is flat (the same figure at both
+   scales); left-to-right order grows about tenfold, so a planner that
+   stops reordering fails here even though it still matches the
+   reference's results. *)
+let joins_max_link_growth = 1.5
+
 let run_joins_smoke () =
-  (* Tiny-scale planner regression gate, wired into [dune runtest] via the
-     [bench-smoke] alias: identical results and no more scanned rows than
-     the reference strategy, judged on the deterministic row counter
-     rather than wall time. *)
-  section "Joins smoke: planner differential at tiny scale";
-  let r = joins_row 1 in
-  pp_joins_row r;
-  let ok_same = joins_identical r in
-  let ok_rows = r.planned.j_rows_scanned <= r.naive.j_rows_scanned in
-  if not ok_same then
-    Format.printf "  FAIL: planned evaluation diverged from naive order@.";
-  if not ok_rows then
-    Format.printf "  FAIL: planned evaluation scanned more rows than naive@.";
-  if not (ok_same && ok_rows) then exit 1;
-  Format.printf "  ok: identical results, %d <= %d rows scanned@."
-    r.planned.j_rows_scanned r.naive.j_rows_scanned
+  (* Small-scale production regression gate, wired into [dune runtest]
+     via the [bench-smoke] alias: at 1x and 10x, identical results and no
+     more scanned rows than the reference evaluator, and flat per-link
+     work across the two scales — all judged on the deterministic row
+     counter rather than wall time. *)
+  section "Joins smoke: production vs reference at 1x and 10x";
+  let r1 = joins_row 1 and r10 = joins_row 10 in
+  let rows = [ r1; r10 ] in
+  List.iter pp_joins_row rows;
+  let failures = ref 0 in
+  let check ok msg =
+    if not ok then begin
+      incr failures;
+      Format.printf "  FAIL: %s@." msg
+    end
+  in
+  List.iter
+    (fun r ->
+      check (joins_identical r)
+        (Printf.sprintf "%dx: production diverged from the reference order" r.scale);
+      check
+        (r.production.j_rows_scanned <= r.reference.j_rows_scanned)
+        (Printf.sprintf "%dx: production scanned more rows than the reference" r.scale))
+    rows;
+  let growth = rows_per_link r10 /. rows_per_link r1 in
+  check
+    (growth <= joins_max_link_growth)
+    (Printf.sprintf "production rows scanned per link grew %.2fx from 1x to 10x (bound %.1fx)"
+       growth joins_max_link_growth);
+  if !failures > 0 then exit 1;
+  Format.printf
+    "  ok: identical results, rows <= reference, per-link growth %.2fx <= %.1fx@."
+    growth joins_max_link_growth
 
 (* ------------------------------------------------------------------ *)
 (* Incremental: per-supply latency under semi-naive vs naive           *)
@@ -804,10 +828,7 @@ type inc_run = {
 
 let incremental_run ~preload ~supplies ~semi () =
   let program = Cylog.Parser.parse_exn incremental_src in
-  let engine =
-    if semi then Cylog.Engine.load ~use_delta:true program
-    else Cylog.Engine.load ~use_delta:false ~use_planner:false program
-  in
+  let engine = Cylog.Engine.load ~use_delta:semi program in
   let db = Cylog.Engine.database engine in
   let ins name fields =
     ignore
@@ -1807,9 +1828,9 @@ let run_telemetry_overhead () =
       (fun acc _ -> Float.min acc (f ()).j_seconds)
       Float.infinity [ (); (); () ]
   in
-  ignore (joins_run ~scale:10 ~use_planner:true ()) (* warm-up *);
-  let on = best (fun () -> joins_run ~scale:10 ~use_planner:true ()) in
-  let off = best (fun () -> joins_run ~metrics:false ~scale:10 ~use_planner:true ()) in
+  ignore (joins_run ~scale:10 ~use_delta:true ()) (* warm-up *);
+  let on = best (fun () -> joins_run ~scale:10 ~use_delta:true ()) in
+  let off = best (fun () -> joins_run ~metrics:false ~scale:10 ~use_delta:true ()) in
   let delta = on -. off in
   let pct = 100.0 *. delta /. Float.max 1e-9 off in
   Format.printf "  metrics on: %.4fs   off: %.4fs   delta %+.4fs (%+.1f%%)@." on off

@@ -214,14 +214,12 @@ type stmt_info = {
   watch_rels : (string * watch_kind) list;  (* per body relation, deduped *)
   payoff_dedup : bool;  (* unordered-support memo (game payoff rules) *)
   mutable exhausted_gen : int;  (* -1: never fully enumerated *)
-  (* Compiled join plans, cached against the per-relation statistics
-     epochs of the body ({!Planner.stats_key}): a supply into a relation
-     outside the body never evicts them, and appends into a body relation
-     only do when its cardinality bucket moves. Rescan uses one plan; a
-     delta scan pins each atom in turn to a single row, so it keeps one
-     plan per pinned position. *)
-  mutable rescan_plan : Planner.t option;
-  mutable rescan_plan_key : int array;
+  (* Compiled delta-scan join plans, cached against the per-relation
+     statistics epochs of the body ({!Planner.stats_key}): a supply into a
+     relation outside the body never evicts them, and appends into a body
+     relation only do when its cardinality bucket moves. A delta scan pins
+     each atom in turn to a single row, so it keeps one plan per pinned
+     position. *)
   mutable delta_plans : Planner.t array;
   mutable delta_plans_key : int array;
   delta : delta_state option;
@@ -233,14 +231,14 @@ type stmt_info = {
          over relations that /update or /delete statements target stay
          differential between destructive mutations and re-derive (scoped
          to themselves) when one lands. Fact and filter-only statements
-         ([pos_preds = []]) use the rescan path. *)
+         ([pos_preds = []]) use the rescan path, and so does every
+         statement of the reference evaluator ([use_delta = false]). *)
 }
 
 type t = {
   db : Reldb.Database.t;
   builtins : Builtin.registry;
   use_delta : bool;
-  use_planner : bool;
   mutable infos : stmt_info array;
   fired : (string, unit) Hashtbl.t;
   open_tbl : (open_id, open_tuple) Hashtbl.t;
@@ -295,7 +293,6 @@ type t = {
    re-firing and the continued trace stays byte-identical. *)
 type state_payload = {
   st_use_delta : bool;
-  st_use_planner : bool;
   st_program : Ast.program;
   st_db : Reldb.Database.t;
   st_fired : (string, unit) Hashtbl.t;
@@ -319,7 +316,6 @@ let state_string t =
   Marshal.to_string
     {
       st_use_delta = t.use_delta;
-      st_use_planner = t.use_planner;
       st_program = t.program;
       st_db = t.db;
       st_fired = t.fired;
@@ -531,8 +527,6 @@ let make_info ~use_delta ((s : Ast.statement), origin) =
     payoff_dedup =
       (match origin with Game_payoff _ -> true | Main | Game_path _ -> false);
     exhausted_gen = -1;
-    rescan_plan = None;
-    rescan_plan_key = [||];
     delta_plans = [||];
     delta_plans_key = [||];
     delta =
@@ -549,7 +543,7 @@ let make_info ~use_delta ((s : Ast.statement), origin) =
        else None);
   }
 
-let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
+let load ?builtins ?(use_delta = true) ?(lint = `Strict)
     ?(analysis = true) ?journal ?journal_config (program : Ast.program) =
   (match lint with
   | `Off -> ()
@@ -577,7 +571,6 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
       db;
     builtins;
     use_delta;
-    use_planner;
     infos;
     fired = Hashtbl.create 1024;
     open_tbl = Hashtbl.create 64;
@@ -850,40 +843,19 @@ let body_generation t info =
    they move its cardinality bucket (or after a destructive mutation). *)
 let plan_key t info = Planner.stats_key t.db info.body_rels
 
-(* The cached rescan plan for [info]. Returns [None] when planning is off
-   or the plan is the left-to-right order anyway (enumeration can then
-   keep its early-stop discipline). *)
-let rescan_plan t info ~key =
-  if not t.use_planner then None
-  else begin
-    (match info.rescan_plan with
-    | Some _ when info.rescan_plan_key = key ->
-        Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.rescan_cache.hits"
-    | _ ->
-        Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.rescan_cache.misses";
-        info.rescan_plan <- Some (Planner.plan t.db info.prefix);
-        info.rescan_plan_key <- key);
-    match info.rescan_plan with
-    | Some p when not p.Planner.identity -> Some p
-    | Some _ | None -> None
-  end
-
 (* Per-pinned-atom plans for a delta scan: scanning new rows of atom [i]
    evaluates the body with atom [i] pinned to one row, so each position
    gets its own plan with that atom costed at a single row. *)
 let delta_plans t info ~n_atoms =
-  if not t.use_planner then None
-  else begin
-    let key = plan_key t info in
-    if info.delta_plans_key <> key || Array.length info.delta_plans <> n_atoms then begin
-      Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.misses";
-      info.delta_plans <-
-        Array.init n_atoms (fun i -> Planner.plan ~exact_atom:i t.db info.prefix);
-      info.delta_plans_key <- key
-    end
-    else Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.hits";
-    Some info.delta_plans
+  let key = plan_key t info in
+  if info.delta_plans_key <> key || Array.length info.delta_plans <> n_atoms then begin
+    Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.misses";
+    info.delta_plans <-
+      Array.init n_atoms (fun i -> Planner.plan ~exact_atom:i t.db info.prefix);
+    info.delta_plans_key <- key
   end
+  else Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.hits";
+  info.delta_plans
 
 (* --- Head application -------------------------------------------------------- *)
 
@@ -1270,10 +1242,8 @@ let delta_scan t idx (info : stmt_info) (ds : delta_state) =
        for i = 0 to n_atoms - 1 do
          new_rows.(i) <- highs.(i) - ds.frontiers.(i);
          let reordered =
-           match plans with
-           | Some a when not a.(i).Planner.identity ->
-               Some (a.(i).Planner.literals, a.(i).Planner.order)
-           | Some _ | None -> None
+           if plans.(i).Planner.identity then None
+           else Some (plans.(i).Planner.literals, plans.(i).Planner.order)
          in
          for r = ds.frontiers.(i) to highs.(i) - 1 do
            let plan j =
@@ -1358,40 +1328,14 @@ let step_core t ~rows0 =
           else begin
             let found = ref None in
             (try
-               match rescan_plan t info ~key:(plan_key t info) with
-               | Some p ->
-                   (* Planned enumeration produces valuations out of
-                      conflict-resolution order, so scan them all and keep
-                      the unfired instance valued by the earliest rows —
-                      exactly the instance left-to-right evaluation stops
-                      at first. *)
-                   let best_key = ref None in
-                   Eval.enumerate
-                     ~reordered:(p.Planner.literals, p.Planner.order)
-                     t.builtins t.db info.prefix ~init:Binding.empty
-                     ~f:(fun m ->
-                       let fp = fingerprint i info m.support in
-                       if Hashtbl.mem t.fired fp then `Continue
-                       else begin
-                         let key =
-                           List.map (fun (_, row, ver) -> (row, ver)) m.support
-                         in
-                         (match !best_key with
-                         | Some k0 when compare k0 key <= 0 -> ()
-                         | _ ->
-                             best_key := Some key;
-                             found := Some (m, fp));
-                         `Continue
-                       end)
-               | None ->
-                   Eval.enumerate t.builtins t.db info.prefix ~init:Binding.empty
-                     ~f:(fun m ->
-                       let fp = fingerprint i info m.support in
-                       if Hashtbl.mem t.fired fp then `Continue
-                       else begin
-                         found := Some (m, fp);
-                         `Stop
-                       end)
+               Eval.enumerate t.builtins t.db info.prefix ~init:Binding.empty
+                 ~f:(fun m ->
+                   let fp = fingerprint i info m.support in
+                   if Hashtbl.mem t.fired fp then `Continue
+                   else begin
+                     found := Some (m, fp);
+                     `Stop
+                   end)
              with Eval.Error msg ->
                runtime_error "statement %s: %s"
                  (Option.value info.stmt.Ast.label ~default:(string_of_int i))
@@ -2241,15 +2185,15 @@ let answer_existence t id ~worker yes =
 
 (* Render the evidence behind the engine's current evaluation choices:
    per rule the strategy, the join order the planner would pick against
-   today's statistics (with the estimated rows that justified each pick),
-   and whether the cached compiled plan is still valid; then the lease and
+   today's statistics (with the estimated rows that justified each pick)
+   and whether the cached compiled plan is still valid — or, for a rescan
+   rule of the reference evaluator, its left-to-right body order; then the lease and
    quorum runtime state the pending tasks live under. Planning here calls
    [Planner.plan] directly — it never touches the plan caches or their
    hit/miss counters, so EXPLAIN is observation-only. *)
 let pp_explain fmt t =
-  Format.fprintf fmt "EXPLAIN  (clock %d, %d statements, planner %s)@." t.clock
-    (Array.length t.infos)
-    (if t.use_planner then "on" else "off");
+  Format.fprintf fmt "EXPLAIN  (clock %d, %d statements)@." t.clock
+    (Array.length t.infos);
   (* Static task bounds, paired with each rule's open heads in order per
      relation (the certificate lists bounds in statement order, so the
      queues line up with the traversal below). *)
@@ -2279,14 +2223,13 @@ let pp_explain fmt t =
   in
   Array.iteri
     (fun i info ->
-      let key = plan_key t info in
       Format.fprintf fmt "@.rule %s  [%s]@."
         (stmt_key info.stmt.Ast.label i)
         (if info.delta = None then "rescan" else "delta");
       (match info.pos_preds with
       | [] -> Format.fprintf fmt "  join: none (fact or filter-only body)@."
-      | _ when not t.use_planner ->
-          Format.fprintf fmt "  join: %s  (left-to-right, planner off)@."
+      | _ when info.delta = None ->
+          Format.fprintf fmt "  join: %s  (left-to-right, reference evaluator)@."
             (String.concat " -> " info.pos_preds)
       | _ ->
           let plan = Planner.plan t.db info.prefix in
@@ -2297,16 +2240,11 @@ let pp_explain fmt t =
                     Printf.sprintf "%s(est %d of %d)" pred est card)
                   plan.Planner.steps))
             (if plan.Planner.identity then "  (identity order)" else "");
+          let key = plan_key t info in
           let cache =
-            if info.delta <> None then
-              if Array.length info.delta_plans = 0 then "not yet compiled"
-              else if info.delta_plans_key = key then "fresh"
-              else "stale (statistics epoch moved)"
-            else
-              match info.rescan_plan with
-              | None -> "not yet compiled"
-              | Some _ when info.rescan_plan_key = key -> "fresh"
-              | Some _ -> "stale (statistics epoch moved)"
+            if Array.length info.delta_plans = 0 then "not yet compiled"
+            else if info.delta_plans_key = key then "fresh"
+            else "stale (statistics epoch moved)"
           in
           Format.fprintf fmt "  plan cache: %s  (stats key %s)@." cache
             (String.concat "."
@@ -2482,11 +2420,12 @@ let snapshot_reason_to_string = function
 let snapshot_error r = raise (Snapshot_error r)
 
 (* Format: 17-byte magic, u32le payload length, u32le CRC-32 of the
-   payload, then the marshalled payload. The v1 format (magic only, no
-   length or checksum) is recognised and refused as [Unsupported_version]
-   rather than misread as garbage. *)
-let snapshot_magic = "CYLOG-SNAPSHOT/2\n"
-let snapshot_magic_v1 = "CYLOG-SNAPSHOT/1\n"
+   payload, then the marshalled payload. The payload is a bare [Marshal]
+   of [snapshot_payload], so any change to that record bumps the version;
+   a file under another version's header ([CYLOG-SNAPSHOT/n]) is refused
+   as [Unsupported_version n] rather than misread. *)
+let snapshot_family = "CYLOG-SNAPSHOT/"
+let snapshot_magic = snapshot_family ^ "3\n"
 
 let put_u32le b n =
   Buffer.add_char b (Char.chr (n land 0xff));
@@ -2502,7 +2441,6 @@ let get_u32le s pos =
 
 type snapshot_payload = {
   snap_use_delta : bool;
-  snap_use_planner : bool;
   snap_program : Ast.program;
   snap_journal : jentry list;  (* chronological *)
 }
@@ -2511,7 +2449,6 @@ let snapshot_payload_string t =
   Marshal.to_string
     {
       snap_use_delta = t.use_delta;
-      snap_use_planner = t.use_planner;
       snap_program = t.program;
       snap_journal = List.rev t.journal;
     }
@@ -2569,24 +2506,33 @@ let restore_payload ?builtins ?aggregate (p : snapshot_payload) =
      not re-litigate lint policy (the restoring host may have stricter
      defaults than the one that accepted it). *)
   let t =
-    load ?builtins ~lint:`Off ~use_delta:p.snap_use_delta
-      ~use_planner:p.snap_use_planner p.snap_program
+    load ?builtins ~lint:`Off ~use_delta:p.snap_use_delta p.snap_program
   in
   List.iter (replay_entry_with ~aggregate t) p.snap_journal;
   t
 
+(* The version [n] of a [CYLOG-SNAPSHOT/n\n] header at the start of [s]. *)
+let header_version s =
+  let f = String.length snapshot_family in
+  if not (String.starts_with ~prefix:snapshot_family s) then None
+  else
+    match String.index_from_opt s f '\n' with
+    | Some nl when nl > f ->
+        let digits = String.sub s f (nl - f) in
+        if String.for_all (fun c -> c >= '0' && c <= '9') digits then
+          int_of_string_opt digits
+        else None
+    | _ -> None
+
 let payload_of_frame s =
   let n = String.length snapshot_magic in
   let len = String.length s in
-  if len < n then
-    if String.equal s (String.sub snapshot_magic 0 len)
-       || String.equal s (String.sub snapshot_magic_v1 0 len)
-    then snapshot_error Truncated
-    else snapshot_error Not_a_snapshot
-  else if String.equal (String.sub s 0 n) snapshot_magic_v1 then
-    snapshot_error (Unsupported_version 1)
-  else if not (String.equal (String.sub s 0 n) snapshot_magic) then
-    snapshot_error Not_a_snapshot
+  if len < n && String.equal s (String.sub snapshot_magic 0 len) then
+    snapshot_error Truncated
+  else if len < n || not (String.equal (String.sub s 0 n) snapshot_magic) then
+    match header_version s with
+    | Some v -> snapshot_error (Unsupported_version v)
+    | None -> snapshot_error Not_a_snapshot
   else if len < n + 8 then snapshot_error Truncated
   else
     let plen = get_u32le s n in
@@ -2662,7 +2608,6 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
     db = p.st_db;
     builtins;
     use_delta = p.st_use_delta;
-    use_planner = p.st_use_planner;
     infos;
     fired = p.st_fired;
     open_tbl = p.st_open_tbl;

@@ -143,7 +143,7 @@ val default_aggregate : aggregate
     counterpart of [Quality.Aggregate.majority]. *)
 
 val load : ?builtins:Builtin.registry -> ?use_delta:bool ->
-  ?use_planner:bool -> ?lint:[ `Strict | `Warn | `Off ] ->
+  ?lint:[ `Strict | `Warn | `Off ] ->
   ?analysis:bool ->
   ?journal:string -> ?journal_config:Journal.config -> Ast.program -> t
 (** Build an engine: declare schemas (inferring schemas of undeclared
@@ -176,26 +176,20 @@ val load : ?builtins:Builtin.registry -> ?use_delta:bool ->
     apparent breach first refreshes the certificate with live database
     cardinalities, so host inserts through the API never false-positive).
 
-    [use_delta] (default [true]) enables seminaive (differential)
-    evaluation for every statement with at least one positive body atom:
-    the engine keeps a ΔR frontier per body atom and drives rule firing
-    by new-facts-only joins, merging discoveries into a pending set
-    ordered by support key. Statements whose body relations are targets
-    of /update or /delete stay differential between destructive
-    mutations and re-derive — scoped to themselves, not the program —
-    when one lands. The two strategies are trace-identical: with [false]
-    every statement re-enumerates its whole join per step (the reference
-    strategy — asymptotically slower but the differential-testing
-    baseline), and produces the same events, journal and snapshots byte
-    for byte.
-
-    [use_planner] (default [true]) enables cost-based reordering of each
-    statement body via {!Planner.plan}, with plans cached per statement
-    and recomputed when the body's relations change. Planning never
-    changes semantics — valuations are replayed over the original body
-    order and the conflict-resolution winner is selected explicitly (see
-    {!Eval.enumerate}) — so [false] exists purely as the reference
-    strategy for differential testing and ablation.
+    [use_delta] (default [true]) selects the production evaluator:
+    seminaive (differential) evaluation for every statement with at least
+    one positive body atom. The engine keeps a ΔR frontier per body atom
+    and drives rule firing by new-facts-only joins, each compiled by
+    {!Planner.plan} with one cached plan per pinned atom, merging
+    discoveries into a pending set ordered by support key. Statements
+    whose body relations are targets of /update or /delete stay
+    differential between destructive mutations and re-derive — scoped to
+    themselves, not the program — when one lands. [false] selects the
+    reference evaluator: every statement rescans its whole body per step
+    in left-to-right order and stops at the first unfired instance, with
+    no planner — asymptotically slower, and the baseline the differential
+    tests compare production against. The two are trace-identical: they
+    produce the same events and journal byte for byte.
     @raise Runtime_error on inconsistent declarations.
     @raise Lint.Rejected in [`Strict] mode on ill-formed programs. *)
 
@@ -209,9 +203,11 @@ val add_statement : t -> Ast.statement -> unit
 (** Append a statement at the lowest priority — the REPL building block.
     Relations it mentions for the first time are declared by inference;
     using an unknown attribute of an existing relation is an error. A new
-    [/update]/[/delete] target downgrades delta-evaluated readers of that
-    relation to the rescan strategy. Game aspects cannot be added
-    incrementally. @raise Runtime_error on schema conflicts. *)
+    [/update]/[/delete] target needs no special handling: delta statements
+    reading that relation watch its destruction counter and re-derive
+    themselves, still differentially, when a mutation lands. Game aspects
+    cannot be added incrementally. @raise Runtime_error on schema
+    conflicts. *)
 
 val builtins : t -> Builtin.registry
 (** The builtin registry in use. *)
@@ -452,9 +448,11 @@ val monitor_sample : t -> round:int -> Monitor.firing list
 
 val explain : t -> string
 (** Render the engine's current evaluation evidence: per rule the
-    strategy (delta/rescan), the join order the planner picks against the
-    live statistics with its row estimates, the compiled-plan cache
-    status, and — for delta statements — the delta view: each atom's
+    strategy (delta/rescan); for a delta statement the join order the
+    planner picks against the live statistics with its row estimates and
+    the compiled-plan cache status, for a rescan statement of the
+    reference evaluator its left-to-right body order; and — for delta
+    statements — the delta view: each atom's
     frontier, which atoms served as the delta atom in the last productive
     round (with the ΔR sizes consumed), whether that round ran
     differentially or fell back to a scoped re-derivation, and how many
@@ -502,8 +500,9 @@ val path_relation_name : string -> string
 type snapshot_reason =
   | Not_a_snapshot  (** the magic does not open any snapshot format *)
   | Unsupported_version of int
-      (** a CyLog snapshot, but from an incompatible format version
-          (e.g. a pre-checksum v1 checkpoint) *)
+      (** a CyLog snapshot header ([CYLOG-SNAPSHOT/n]) from another
+          format version [n] — e.g. a pre-checksum v1 checkpoint, or a v2
+          file whose payload record has since changed *)
   | Truncated  (** shorter than its header or declared payload length *)
   | Checksum_mismatch  (** framing intact but the payload CRC disagrees *)
   | Corrupt_payload  (** checksum passed yet unmarshalling failed *)

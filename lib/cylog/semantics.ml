@@ -14,11 +14,6 @@ type state = {
       (* open tuples already valuated by humans: a spent question is not
          re-asked when logic re-derives it (the engine's firing memo plays
          the same role operationally) *)
-  frontiers : (string * int) list;
-      (* per-relation high-water marks of the database this state's machine
-         consequences were last enumerated against; rows at or above a
-         frontier are the ΔR the semi-naive operator [apply_delta] joins
-         against. [[]] means no application has run yet (full scan). *)
 }
 
 type strategies = state -> (open_fact * (string * Reldb.Value.t) list) list
@@ -49,7 +44,7 @@ let initial p =
     invalid_arg "Semantics: programs with /update or /delete need the operational Engine";
   let engine = fresh_engine p in
   { program = p; builtins = Engine.builtins engine; db = Engine.database engine;
-    opens = []; resolved = []; frontiers = [] }
+    opens = []; resolved = [] }
 
 let sure st = st.db
 let open_tuples st = st.opens
@@ -64,35 +59,14 @@ let open_fact_equal a b =
      | Some x, Some y -> Reldb.Value.equal x y
      | _ -> false)
 
-let frontier_map db =
-  List.map
-    (fun r -> (Reldb.Relation.name r, Reldb.Relation.high_water r))
-    (Reldb.Database.relations db)
-
-let frontier_of fs name =
-  match List.assoc_opt name fs with Some n -> n | None -> 0
-
-let pos_preds (body : Ast.literal list) =
-  List.filter_map
-    (fun (l : Ast.literal) ->
-      match l.Ast.lit with Ast.Pos a -> Some a.Ast.pred | _ -> None)
-    body
-
-let has_payoff (s : Ast.statement) =
-  List.exists
-    (fun (h : Ast.head) ->
-      match h.Ast.head with Ast.Head_payoff _ -> true | Ast.Head_atom _ -> false)
-    s.heads
-
 (* One application of T_{P,S}. We replay the program's statements over a
    copy of K_sure: every instance whose body holds over the {e input}
    K_sure contributes its head. To get the simultaneous (not cascading)
    operator, enumeration runs against the input database while insertions
-   go to the output copy. [enumerate_stmt] decides which instances of a
-   statement are visited — {!apply} visits all of them, {!apply_delta}
-   only those touching rows at or above the previous application's
-   frontiers. *)
-let apply_with ~enumerate_stmt st (strategies : strategies) =
+   go to the output copy. Every instance is visited in conflict-resolution
+   (left-to-right lexicographic) order, so open tuples keep
+   first-derivation order. *)
+let apply st (strategies : strategies) =
   let input_db = st.db in
   let out_db = Reldb.Database.copy st.db in
   let engine = fresh_engine st.program in
@@ -173,8 +147,10 @@ let apply_with ~enumerate_stmt st (strategies : strategies) =
   List.iter
     (fun ((s : Ast.statement), _) ->
       try
-        enumerate_stmt st builtins input_db s ~f:(fun (m : Eval.matched) ->
-            List.iter (apply_head m.env) s.heads)
+        Eval.enumerate builtins input_db s.body ~init:Binding.empty
+          ~f:(fun (m : Eval.matched) ->
+            List.iter (apply_head m.env) s.heads;
+            `Continue)
       with Eval.Error _ -> ())
     statements;
   (* Immediate human consequences: strategies valuate pending open tuples. *)
@@ -190,64 +166,7 @@ let apply_with ~enumerate_stmt st (strategies : strategies) =
     choices;
   let still_open o = not (List.exists (open_fact_equal o) !consumed) in
   let opens' = List.filter still_open (st.opens @ List.rev !new_opens) in
-  (* The frontier records what this round's enumeration ran against: rows
-     appended during the round (machine heads, human valuations) sit at or
-     above it and are the next round's ΔR. *)
-  { st with db = out_db; opens = opens'; resolved = st.resolved @ !consumed;
-    frontiers = frontier_map input_db }
-
-(* Full enumeration: every instance over the input database, in
-   conflict-resolution (left-to-right lexicographic) order. *)
-let enumerate_all _st builtins db (s : Ast.statement) ~f =
-  Eval.enumerate builtins db s.body ~init:Binding.empty ~f:(fun m -> f m; `Continue)
-
-(* Semi-naive enumeration: only instances whose support touches at least
-   one row at or above the previous application's frontiers. Each positive
-   atom takes a turn as the pinned delta atom; atoms to its left are held
-   below their frontiers so every new instance is discovered exactly once
-   (at the position of its leftmost new row). Discoveries are replayed to
-   [f] in ascending support-key order, i.e. exactly the relative order the
-   full scan visits them in — so open tuples keep first-derivation order.
-
-   Soundness over the supported fragment: the database only grows, so a
-   [Neg]/[Cmp]/[Call] literal can only flip from passing to failing —
-   an instance over old rows that newly holds is impossible, and one that
-   already held contributed its (idempotent) heads in the round it was
-   discovered. Payoff heads are the exception — a full scan re-awards a
-   persisting instance every round — so payoff statements fall back to
-   full enumeration. *)
-let enumerate_delta st builtins db (s : Ast.statement) ~f =
-  if st.frontiers = [] || has_payoff s then enumerate_all st builtins db s ~f
-  else begin
-    let preds = pos_preds s.body in
-    let discovered = ref [] in
-    List.iteri
-      (fun p pred ->
-        let lo = frontier_of st.frontiers pred in
-        let hi =
-          match Reldb.Database.find db pred with
-          | Some r -> Reldb.Relation.high_water r
-          | None -> 0
-        in
-        for row = lo to hi - 1 do
-          let plan i =
-            if i < p then Eval.Below (frontier_of st.frontiers (List.nth preds i))
-            else if i = p then Eval.Exactly row
-            else Eval.All
-          in
-          Eval.enumerate ~plan builtins db s.body ~init:Binding.empty
-            ~f:(fun m ->
-              discovered := m :: !discovered;
-              `Continue)
-        done)
-      preds;
-    List.iter f (List.sort Eval.compare_matched (List.rev !discovered))
-  end
-
-let apply st strategies = apply_with ~enumerate_stmt:enumerate_all st strategies
-
-let apply_delta st strategies =
-  apply_with ~enumerate_stmt:enumerate_delta st strategies
+  { st with db = out_db; opens = opens'; resolved = st.resolved @ !consumed }
 
 let db_tuples db =
   List.concat_map
@@ -264,21 +183,16 @@ let equal a b =
   && List.length a.opens = List.length b.opens
   && List.for_all2 open_fact_equal a.opens b.opens
 
-let behaviour_with ~step ?(bound = 1000) p strategies =
+let behaviour ?(bound = 1000) p strategies =
   let rec loop k states n =
     if n >= bound then (List.rev states, `Bound_reached)
     else
-      let k' = step k strategies in
+      let k' = apply k strategies in
       if equal k k' then (List.rev (k' :: states), `Fixpoint)
       else loop k' (k' :: states) (n + 1)
   in
   let k0 = initial p in
   loop k0 [ k0 ] 0
-
-let behaviour ?bound p strategies = behaviour_with ~step:apply ?bound p strategies
-
-let behaviour_delta ?bound p strategies =
-  behaviour_with ~step:apply_delta ?bound p strategies
 
 let conclusion ?bound p strategies =
   match behaviour ?bound p strategies with

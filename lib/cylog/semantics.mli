@@ -60,18 +60,6 @@ val sure_count : state -> int
 val apply : state -> strategies -> state
 (** One application of [T_{P,S}]. The input state is not mutated. *)
 
-val apply_delta : state -> strategies -> state
-(** One application of [T_{P,S}], computed semi-naively: only instances
-    whose support touches a row appended since the state's last
-    application are enumerated (each positive atom takes a turn as the
-    pinned delta atom, atoms to its left held below their frontiers), and
-    discoveries are replayed in support-key order so open tuples keep
-    first-derivation order. Over the supported fragment this equals
-    {!apply} state for state: the database only grows, so instances over
-    old rows cannot newly hold, and ones that already held contributed
-    idempotent heads when discovered. Payoff statements — whose full-scan
-    re-awards are {e not} idempotent — fall back to full enumeration. *)
-
 val equal : state -> state -> bool
 (** State equality (same sure tuples and same open tuples) — detects
     fixpoints. *)
@@ -79,12 +67,6 @@ val equal : state -> state -> bool
 val behaviour : ?bound:int -> Ast.program -> strategies -> state list * [ `Fixpoint | `Bound_reached ]
 (** The behaviour of [(P, S)]: the sequence [K_0 = ∅, K_1, ...] up to a
     fixpoint (inclusive) or until [bound] applications (default 1000). *)
-
-val behaviour_delta : ?bound:int -> Ast.program -> strategies -> state list * [ `Fixpoint | `Bound_reached ]
-(** {!behaviour} with each step computed by {!apply_delta} — the
-    semi-naive iteration of [T_{P,S}]. Produces the same state sequence
-    as {!behaviour} over the supported fragment while joining only
-    against each round's ΔR. *)
 
 val conclusion : ?bound:int -> Ast.program -> strategies -> state option
 (** The conclusion (final fixpoint state) if reached within [bound]. *)

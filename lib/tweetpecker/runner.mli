@@ -29,7 +29,7 @@ val default_workers : Programs.variant -> Crowd.Worker.profile list
 
 val run :
   ?seed:int -> ?corpus:Tweets.Generator.tweet list ->
-  ?workers:Crowd.Worker.profile list -> ?use_delta:bool -> ?use_planner:bool ->
+  ?workers:Crowd.Worker.profile list -> ?use_delta:bool ->
   ?lease:Cylog.Lease.config -> ?quorum:int ->
   ?policy:Cylog.Engine.quorum_policy ->
   ?monitor:Cylog.Monitor.config ->
@@ -40,10 +40,9 @@ val run :
   ?storage_faults:Crowd.Faults.storage_fault list -> Programs.variant -> outcome
 (** Run a variant to termination (all (tweet, attribute) pairs agreed) on
     the standard corpus (463 tweets) with the default crowd. [use_delta]
-    and [use_planner] are passed through to {!Cylog.Engine.load} —
-    [~use_delta:false] selects the naive full-rescan evaluation strategy
-    and [~use_planner:false] the reference left-to-right join order, for
-    differential testing of semi-naive evaluation and the planner. [lease], [quorum] and [policy] are passed
+    is passed through to {!Cylog.Engine.load} — [~use_delta:false] selects
+    the reference evaluator (unplanned left-to-right rescan), for
+    differential testing of the production evaluator. [lease], [quorum] and [policy] are passed
     through to {!Crowd.Simulator.run} (lease runtime, redundant
     assignment, and adaptive quorum policies — [policy] wins over
     [quorum]); [monitor] and [on_alert] install the campaign monitor and

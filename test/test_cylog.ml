@@ -812,8 +812,8 @@ let test_add_statement_incremental () =
 let test_add_statement_delta_downgrade () =
   let engine = Engine.load (Parser.parse_exn "rules: R(x:1); S(x) <- R(x);") in
   ignore (Engine.run engine);
-  (* Adding a delete on R downgrades S's reader to rescan; evaluation must
-     still be correct afterwards. *)
+  (* Adding a delete on R makes S's delta reader re-derive when the delete
+     lands; evaluation must still be correct afterwards. *)
   List.iter (Engine.add_statement engine) (Parser.parse_statements_exn "R(x:1)/delete;");
   ignore (Engine.run engine);
   let r = Reldb.Database.find_exn (Engine.database engine) "R" in
@@ -821,7 +821,7 @@ let test_add_statement_delta_downgrade () =
   List.iter (Engine.add_statement engine) (Parser.parse_statements_exn "R(x:9);");
   ignore (Engine.run engine);
   let s = Reldb.Database.find_exn (Engine.database engine) "S" in
-  Alcotest.(check bool) "rescan reader still derives" true
+  Alcotest.(check bool) "delta reader still derives" true
     (Reldb.Relation.mem s (Reldb.Tuple.of_list [ ("x", v_int 9) ]))
 
 (* --- Precedence graph (Figure 14) ----------------------------------------- *)

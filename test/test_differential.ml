@@ -2,20 +2,21 @@
    (no negation, no update/delete, no open predicates) three independent
    evaluators must agree on the least fixpoint:
 
-   - the engine with seminaive delta evaluation (production strategy),
-   - the engine with naive rescan (reference strategy),
+   - the engine with seminaive delta evaluation and planned joins
+     (production evaluator),
+   - the engine with an unplanned left-to-right rescan (reference
+     evaluator, [~use_delta:false]),
    - the batch T_{P,S} consequence operator of the formal semantics.
 
-   The cost-based join planner is held to a stronger standard than fixpoint
-   agreement: with planning on or off the engine must produce the *same
-   event trace* — same statements fired in the same order with the same
-   valuations and effects — because planning is specified as a pure
-   evaluation-order device (Eval.enumerate replays planned matches over
-   the original body and the engine picks the conflict-resolution winner
-   explicitly). The trace properties below check this on random programs,
-   on all four TweetPecker variants end-to-end, and on the Figure 16
-   Turing construction (whose /update rules exercise the planned-rescan
-   path rather than the delta path).
+   Production is held to a stronger standard than fixpoint agreement
+   with the reference: it must produce the *same event trace* — same
+   statements fired in the same order with the same valuations and
+   effects — and the same journal, byte for byte. Delta evaluation and
+   join planning are specified as pure evaluation-order devices, so one
+   comparison covers both. The trace properties below check this on
+   random programs (with and without humans and /update//delete), on all
+   four TweetPecker variants end-to-end, on quorum campaigns and on the
+   Figure 16 Turing construction.
 
    This pins down the two trickiest optimisations in the codebase. *)
 
@@ -128,11 +129,6 @@ let engine_trace engine =
     (fun (e : Engine.event) ->
       (e.clock, e.statement, e.label, e.valuation, e.fired, e.effects))
     (Engine.events engine)
-
-let run_trace ~use_delta ~use_planner program =
-  let engine = Engine.load ~use_delta ~use_planner program in
-  ignore (Engine.run engine ~max_steps:20_000);
-  engine_trace engine
 
 (* Everything two engines can be compared on: the full event trace, the
    final database, and the marshalled API-call journal (byte-identical
@@ -255,10 +251,10 @@ let with_open_rule (program : Ast.program) =
   in
   { program with Ast.statements = program.statements @ [ ask; echo ] }
 
-let drive_with_canonical_human ~use_delta ?use_planner program =
+let drive_with_canonical_human ~use_delta program =
   (* [with_open_rule]'s Ask/Echo pair is a deliberate open cycle, which
      strict linting now rejects as unbounded-task-emission. *)
-  let engine = Engine.load ~lint:`Off ~use_delta ?use_planner program in
+  let engine = Engine.load ~lint:`Off ~use_delta program in
   ignore (Engine.run engine ~max_steps:20_000);
   let rec answer rounds =
     if rounds > 500 then ()
@@ -295,68 +291,6 @@ let prop_delta_equals_rescan_with_humans =
       engines_equivalent
         (drive_with_canonical_human ~use_delta:true program)
         (drive_with_canonical_human ~use_delta:false program))
-
-(* --- Planner differential ------------------------------------------------- *)
-
-let prop_planner_preserves_trace =
-  QCheck.Test.make ~name:"planned evaluation replays the naive trace" ~count:200
-    gen_program (fun program ->
-      run_trace ~use_delta:true ~use_planner:true program
-      = run_trace ~use_delta:true ~use_planner:false program
-      && run_trace ~use_delta:false ~use_planner:true program
-         = run_trace ~use_delta:false ~use_planner:false program)
-
-let prop_planner_preserves_trace_with_humans =
-  QCheck.Test.make ~name:"planner on = off with a canonical human in the loop"
-    ~count:100 gen_program (fun program ->
-      let program = with_open_rule program in
-      engines_equivalent
-        (drive_with_canonical_human ~use_delta:true ~use_planner:true program)
-        (drive_with_canonical_human ~use_delta:true ~use_planner:false program))
-
-(* End-to-end: the four TweetPecker variants on a small corpus. The
-   simulator is deterministic given the seed and only observes the engine
-   through its public API, so planner on/off must yield the same
-   agreement history, rules, extractions and payoffs. *)
-let tweetpecker_run variant ~use_planner =
-  let corpus = Tweets.Generator.generate ~seed:5 12 in
-  let o = Tweetpecker.Runner.run ~seed:11 ~corpus ~use_planner variant in
-  ( o.agreed_events,
-    List.sort compare o.agreed,
-    List.sort compare o.rules_entered,
-    List.sort compare o.extracts,
-    List.sort compare o.payoffs )
-
-let test_tweetpecker_planner_differential () =
-  List.iter
-    (fun variant ->
-      Alcotest.(check bool)
-        (Tweetpecker.Programs.variant_name variant ^ ": planner on = off")
-        true
-        (tweetpecker_run variant ~use_planner:true
-        = tweetpecker_run variant ~use_planner:false))
-    Tweetpecker.Programs.[ VE; VEI; VRE; VREI ]
-
-(* The Figure 16 Turing construction updates TuringMachine and Tape in
-   place, so its statements evaluate through the rescan strategy: this is
-   the differential test for the planned-rescan minimal-support-key
-   selection. *)
-let turing_trace m ~input ~use_planner =
-  let engine = Turing.Cylog_tm.load ~use_planner m ~input in
-  ignore (Engine.run engine ~max_steps:20_000);
-  engine_trace engine
-
-let test_turing_planner_differential () =
-  List.iter
-    (fun ((m : Turing.Machine.t), input) ->
-      Alcotest.(check bool)
-        (m.name ^ ": planner on = off")
-        true
-        (turing_trace m ~input ~use_planner:true
-        = turing_trace m ~input ~use_planner:false))
-    [ (Turing.Machine.successor, [ "1"; "1" ]);
-      (Turing.Machine.binary_increment, [ "1"; "0"; "1"; "1" ]);
-      (Turing.Machine.parity, [ "1"; "1"; "1" ]) ]
 
 (* --- Semi-naive vs naive on non-monotone programs -------------------------- *)
 
@@ -553,45 +487,6 @@ let test_quorum_delta_differential () =
            (adaptive_campaign_engine ~use_delta:false ~seed ())))
     [ 1; 7 ]
 
-(* --- Semi-naive batch semantics -------------------------------------------- *)
-
-(* [Semantics.behaviour_delta] must walk the exact state sequence of the
-   full iteration — same sure tuples AND same open tuples in the same
-   first-derivation order, state for state. *)
-let same_behaviour program strategies =
-  let states
-      (behave :
-        ?bound:int -> Ast.program -> Semantics.strategies ->
-        Semantics.state list * [ `Fixpoint | `Bound_reached ]) =
-    match behave ~bound:200 program strategies with
-    | states, `Fixpoint -> Some states
-    | _, `Bound_reached -> None
-  in
-  match (states Semantics.behaviour, states Semantics.behaviour_delta) with
-  | None, _ | _, None -> QCheck.assume_fail ()
-  | Some a, Some b ->
-      List.length a = List.length b && List.for_all2 Semantics.equal a b
-
-let prop_semantics_delta_equals_naive =
-  QCheck.Test.make ~name:"batch T_{P,S}: semi-naive iteration = full iteration"
-    ~count:200 gen_program (fun program -> same_behaviour program (fun _ -> []))
-
-let prop_semantics_delta_equals_naive_with_humans =
-  QCheck.Test.make
-    ~name:"batch T_{P,S}: semi-naive = full with answering strategies" ~count:100
-    gen_program (fun program ->
-      let program = with_open_rule program in
-      let answer_all st =
-        List.map
-          (fun (o : Semantics.open_fact) ->
-            ( o,
-              List.map
-                (fun a -> (a, Reldb.Value.Int (Reldb.Tuple.hash o.bound mod 5)))
-                o.open_attrs ))
-          (Semantics.open_tuples st)
-      in
-      same_behaviour program answer_all)
-
 (* --- Snapshot / replay differential --------------------------------------- *)
 
 (* Checkpoint/recovery is event-sourced: a snapshot is the program plus
@@ -769,15 +664,10 @@ let suite =
         [ prop_delta_equals_rescan; prop_delta_equals_rescan_with_humans;
           prop_ud_delta_equals_rescan; prop_ud_snapshot_midway;
           prop_engine_equals_batch_semantics;
-          prop_semantics_delta_equals_naive;
-          prop_semantics_delta_equals_naive_with_humans;
           prop_engine_deterministic; prop_fixpoint_is_stable; prop_monotone_growth;
-          prop_planner_preserves_trace; prop_planner_preserves_trace_with_humans;
           prop_parse_print_roundtrip; prop_printed_program_runs_identically;
           prop_views_split_preserves_rules; prop_snapshot_replay_is_trace_identical ]
-      @ [ Alcotest.test_case "tweetpecker variants: planner on = off" `Slow
-            test_tweetpecker_planner_differential;
-          Alcotest.test_case "tweetpecker variants: delta on = off" `Slow
+      @ [ Alcotest.test_case "tweetpecker variants: delta on = off" `Slow
             test_tweetpecker_delta_differential;
           Alcotest.test_case "tweetpecker variants: snapshot replay" `Slow
             test_tweetpecker_snapshot_replay;
@@ -785,7 +675,5 @@ let suite =
             test_restore_under_adaptive_quorum;
           Alcotest.test_case "quorum campaigns: delta on = off" `Quick
             test_quorum_delta_differential;
-          Alcotest.test_case "figure 16 turing: planner on = off" `Quick
-            test_turing_planner_differential;
           Alcotest.test_case "figure 16 turing: delta on = off" `Quick
             test_turing_delta_differential ] ) ]

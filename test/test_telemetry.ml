@@ -347,8 +347,27 @@ let test_null_sink_emits_nothing () =
   ignore (Engine.run engine);
   Alcotest.(check bool) "null sink has no contents" true
     (Telemetry.Sink.contents (Telemetry.sink (Engine.telemetry engine)) = []);
-  Alcotest.(check bool) "explain renders" true
-    (String.length (Engine.explain engine) > 0)
+  (* EXPLAIN: production shows the planner's join with its cache status;
+     the reference evaluator shows its written body order. *)
+  let contains hay needle =
+    let n = String.length hay and m = String.length needle in
+    let rec loop i = i + m <= n && (String.sub hay i m = needle || loop (i + 1)) in
+    loop 0
+  in
+  let lines e = String.split_on_char '\n' (Engine.explain e) in
+  let has e needle = List.exists (fun l -> contains l needle) (lines e) in
+  Alcotest.(check bool) "header does not mention the planner" false
+    (contains (List.hd (lines engine)) "planner");
+  Alcotest.(check bool) "production rule shows a planned join" true
+    (has engine "  join: R(est 1 of 1)");
+  Alcotest.(check bool) "production plan cache is fresh" true
+    (has engine "  plan cache: fresh");
+  let reference = Engine.load ~use_delta:false program in
+  ignore (Engine.run reference);
+  Alcotest.(check bool) "reference rule shows its left-to-right order" true
+    (has reference "  join: R  (left-to-right, reference evaluator)");
+  Alcotest.(check bool) "reference has no plan cache" false
+    (has reference "plan cache")
 
 let suite =
   [ ( "telemetry",
