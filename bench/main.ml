@@ -9,6 +9,8 @@
      dune exec bench/main.exe table1       # one experiment
      dune exec bench/main.exe bench        # only the Bechamel timings *)
 
+module J = Cylog.Json
+
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
@@ -566,23 +568,12 @@ let run_bench () =
 let telemetry_snapshot_prefixes = [ "planner."; "journal."; "eval." ]
 
 let telemetry_snapshot m =
-  let keep k =
-    List.exists
-      (fun p ->
-        String.length k >= String.length p
-        && String.equal (String.sub k 0 (String.length p)) p)
-      telemetry_snapshot_prefixes
+  let keep (k, _) =
+    List.exists (fun prefix -> String.starts_with ~prefix k) telemetry_snapshot_prefixes
   in
-  let rows =
-    List.sort compare
-      (List.filter (fun (k, _) -> keep k) (Cylog.Telemetry.Metrics.counters m))
-  in
-  Printf.sprintf "{ %s }"
-    (String.concat ", "
-       (List.map
-          (fun (k, v) ->
-            Printf.sprintf "\"%s\": %d" (Cylog.Telemetry.json_escape k) v)
-          rows))
+  J.Obj
+    (List.map (fun (k, v) -> (k, J.Int v))
+       (List.filter keep (Cylog.Telemetry.Metrics.counters m)))
 
 (* The run's static budget certificate rides next to the telemetry in the
    artifact: a bound regression (a relation going unbounded, a task bound
@@ -590,7 +581,15 @@ let telemetry_snapshot m =
 let certificate_snapshot engine =
   match Cylog.Engine.certificate engine with
   | Some c -> Cylog.Analysis.certificate_json c
-  | None -> "null"
+  | None -> J.Null
+
+(* Every BENCH_*.json is pretty-printed, so its diffs stay line-oriented. *)
+let write_artifact file json =
+  let out = open_out file in
+  output_string out (J.to_string_pretty json);
+  output_char out '\n';
+  close_out out;
+  Format.printf "  wrote %s@." file
 
 (* ------------------------------------------------------------------ *)
 (* Joins: cost-based planning + compound-key indexes, scaling study    *)
@@ -624,8 +623,8 @@ type joins_run = {
   j_steps : int;
   j_cache_hits : int;
   j_cache_misses : int;
-  j_telemetry : string;
-  j_certificate : string;
+  j_telemetry : J.t;
+  j_certificate : J.t;
   j_out : Reldb.Tuple.t list;
   j_trace : (int * string option * (string * Reldb.Value.t) list * bool) list;
 }
@@ -699,50 +698,37 @@ let pp_joins_row r =
     r.production.j_cache_hits r.production.j_cache_misses
 
 let joins_json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"joins\",\n";
-  Buffer.add_string buf
-    "  \"body\": \"Out(x, z) <- Edge1(x, y), Edge2(y, z), Target(z)\",\n";
-  Buffer.add_string buf "  \"scales\": [\n";
-  List.iteri
-    (fun i r ->
-      let run label (m : joins_run) =
-        Printf.sprintf
-          "      \"%s\": { \"seconds\": %.6f, \"rows_scanned\": %d, \"steps\": %d, \
-           \"plan_cache_hits\": %d, \"plan_cache_misses\": %d, \"telemetry\": %s, \
-           \"certificate\": %s }"
-          label m.j_seconds m.j_rows_scanned m.j_steps m.j_cache_hits m.j_cache_misses
-          m.j_telemetry m.j_certificate
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\n\
-           \      \"scale\": %d, \"edge_rows\": %d, \"target_rows\": %d,\n\
-            %s,\n\
-            %s,\n\
-           \      \"speedup_wall\": %.2f, \"speedup_rows_scanned\": %.2f,\n\
-           \      \"identical_results\": %b\n\
-           \    }%s\n"
-           r.scale (joins_links r.scale) (2 * r.scale) (run "reference" r.reference)
-           (run "production" r.production)
-           (r.reference.j_seconds /. Float.max 1e-9 r.production.j_seconds)
+  let run (m : joins_run) =
+    J.Obj
+      [ ("seconds", J.Float m.j_seconds); ("rows_scanned", J.Int m.j_rows_scanned);
+        ("steps", J.Int m.j_steps); ("plan_cache_hits", J.Int m.j_cache_hits);
+        ("plan_cache_misses", J.Int m.j_cache_misses); ("telemetry", m.j_telemetry);
+        ("certificate", m.j_certificate) ]
+  in
+  let scale r =
+    J.Obj
+      [ ("scale", J.Int r.scale); ("edge_rows", J.Int (joins_links r.scale));
+        ("target_rows", J.Int (2 * r.scale)); ("reference", run r.reference);
+        ("production", run r.production);
+        ("speedup_wall",
+         J.Float (r.reference.j_seconds /. Float.max 1e-9 r.production.j_seconds));
+        ("speedup_rows_scanned",
+         J.Float
            (float_of_int r.reference.j_rows_scanned
-           /. Float.max 1.0 (float_of_int r.production.j_rows_scanned))
-           (joins_identical r)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+           /. Float.max 1.0 (float_of_int r.production.j_rows_scanned)));
+        ("identical_results", J.Bool (joins_identical r)) ]
+  in
+  J.Obj
+    [ ("benchmark", J.String "joins");
+      ("body", J.String "Out(x, z) <- Edge1(x, y), Edge2(y, z), Target(z)");
+      ("scales", J.List (List.map scale rows)) ]
 
 let run_joins () =
   section "Joins: production (delta, planned) vs reference (left-to-right rescan)";
   Format.printf "  body: Out(x, z) <- Edge1(x, y), Edge2(y, z), Target(z)@.";
   let rows = List.map joins_row [ 10; 100 ] in
   List.iter pp_joins_row rows;
-  let out = open_out "BENCH_joins.json" in
-  output_string out (joins_json rows);
-  close_out out;
-  Format.printf "  wrote BENCH_joins.json@."
+  write_artifact "BENCH_joins.json" (joins_json rows)
 
 (* Growth bound on production's rows scanned per chain link from 1x to
    10x. Planned delta evaluation is flat (the same figure at both
@@ -822,8 +808,8 @@ type inc_run = {
   i_rows_first : int;
   i_rows_last : int;
   i_out : int;
-  i_telemetry : string;
-  i_certificate : string;
+  i_telemetry : J.t;
+  i_certificate : J.t;
 }
 
 let incremental_run ~preload ~supplies ~semi () =
@@ -908,52 +894,36 @@ let inc_ratio pick rows =
   | _ -> nan
 
 let incremental_json ~supplies rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"incremental\",\n";
-  Buffer.add_string buf
-    "  \"body\": \"Out(id, msg, v) <- Log(id, msg), Label(id, v)\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"supplies\": %d,\n  \"preloads\": [\n" supplies);
-  List.iteri
-    (fun i r ->
-      let run label (m : inc_run) =
-        Printf.sprintf
-          "      \"%s\": { \"load_seconds\": %.6f, \"supply_seconds_total\": %.6f, \
-           \"supply_rows_total\": %d, \"rows_per_supply_mean\": %.2f, \
-           \"seconds_per_supply_mean\": %.8f, \"rows_first_supply\": %d, \
-           \"rows_last_supply\": %d, \"out_rows\": %d, \"telemetry\": %s, \
-           \"certificate\": %s }"
-          label m.i_load_seconds m.i_supply_seconds m.i_supply_rows (inc_mean_rows m)
-          (inc_mean_seconds m) m.i_rows_first m.i_rows_last m.i_out m.i_telemetry
-          m.i_certificate
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\n\
-           \      \"preload\": %d,\n\
-            %s,\n\
-            %s,\n\
-           \      \"naive_vs_semi_rows\": %.2f,\n\
-           \      \"identical_results\": %b\n\
-           \    }%s\n"
-           r.i_scale
-           (run "semi_naive" r.i_semi)
-           (run "naive" r.i_naive)
-           (inc_mean_rows r.i_naive /. Float.max 1.0 (inc_mean_rows r.i_semi))
-           (r.i_semi.i_out = r.i_naive.i_out)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"semi_naive_growth_across_preloads\": %.3f,\n\
-       \  \"naive_growth_across_preloads\": %.3f,\n\
-       \  \"flat_gate\": { \"semi_naive_max_growth\": 1.5, \"passed\": %b }\n"
-       (inc_ratio (fun r -> r.i_semi) rows)
-       (inc_ratio (fun r -> r.i_naive) rows)
-       (inc_ratio (fun r -> r.i_semi) rows <= 1.5));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let run (m : inc_run) =
+    J.Obj
+      [ ("load_seconds", J.Float m.i_load_seconds);
+        ("supply_seconds_total", J.Float m.i_supply_seconds);
+        ("supply_rows_total", J.Int m.i_supply_rows);
+        ("rows_per_supply_mean", J.Float (inc_mean_rows m));
+        ("seconds_per_supply_mean", J.Float (inc_mean_seconds m));
+        ("rows_first_supply", J.Int m.i_rows_first);
+        ("rows_last_supply", J.Int m.i_rows_last);
+        ("out_rows", J.Int m.i_out); ("telemetry", m.i_telemetry);
+        ("certificate", m.i_certificate) ]
+  in
+  let preload r =
+    J.Obj
+      [ ("preload", J.Int r.i_scale); ("semi_naive", run r.i_semi);
+        ("naive", run r.i_naive);
+        ("naive_vs_semi_rows",
+         J.Float (inc_mean_rows r.i_naive /. Float.max 1.0 (inc_mean_rows r.i_semi)));
+        ("identical_results", J.Bool (r.i_semi.i_out = r.i_naive.i_out)) ]
+  in
+  J.Obj
+    [ ("benchmark", J.String "incremental");
+      ("body", J.String "Out(id, msg, v) <- Log(id, msg), Label(id, v)");
+      ("supplies", J.Int supplies); ("preloads", J.List (List.map preload rows));
+      ("semi_naive_growth_across_preloads", J.Float (inc_ratio (fun r -> r.i_semi) rows));
+      ("naive_growth_across_preloads", J.Float (inc_ratio (fun r -> r.i_naive) rows));
+      ("flat_gate",
+       J.Obj
+         [ ("semi_naive_max_growth", J.Float 1.5);
+           ("passed", J.Bool (inc_ratio (fun r -> r.i_semi) rows <= 1.5)) ]) ]
 
 let inc_check rows =
   let failures = ref [] in
@@ -980,10 +950,7 @@ let run_incremental () =
     "  growth of rows/supply across preloads: semi-naive %.2fx, naive %.2fx@."
     (inc_ratio (fun r -> r.i_semi) rows)
     (inc_ratio (fun r -> r.i_naive) rows);
-  let out = open_out "BENCH_incremental.json" in
-  output_string out (incremental_json ~supplies rows);
-  close_out out;
-  Format.printf "  wrote BENCH_incremental.json@.";
+  write_artifact "BENCH_incremental.json" (incremental_json ~supplies rows);
   List.iter (fun what -> Format.printf "  NOTE: %s@." what) (inc_check rows)
 
 let run_incremental_smoke () =
@@ -1039,8 +1006,8 @@ type quality_run = {
   q_escalated : int;
   q_rounds : int;
   q_reliability : (string * float * int) list;
-  q_telemetry : string;
-  q_certificate : string;
+  q_telemetry : J.t;
+  q_certificate : J.t;
 }
 
 let quality_campaign ~label ~seed ~items ?quorum ?policy () =
@@ -1116,37 +1083,28 @@ let pp_quality_run r =
     r.q_answers r.q_early_stopped r.q_escalated r.q_rounds
 
 let quality_json ~seed runs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"quality\",\n";
-  Buffer.add_string buf
-    "  \"crowd\": \"4 diligent + 1 sloppy, router-driven assignment\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
-  Buffer.add_string buf
-    "  \"adaptive\": { \"tau\": 0.9, \"min_votes\": 2, \"max_votes\": 5 },\n";
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"policy\": \"%s\", \"items\": %d, \"resolved\": %d, \
-            \"correct\": %d, \"accuracy\": %.4f, \"answers\": %d, \
-            \"early_stopped\": %d, \"escalated\": %d, \"rounds\": %d,\n\
-           \      \"reliability\": { %s },\n\
-           \      \"telemetry\": %s,\n\
-           \      \"certificate\": %s }%s\n"
-           r.q_label r.q_items r.q_resolved r.q_correct (quality_accuracy r)
-           r.q_answers r.q_early_stopped r.q_escalated r.q_rounds
-           (String.concat ", "
-              (List.map
-                 (fun (w, rel, n) ->
-                   Printf.sprintf "\"%s\": { \"mean\": %.4f, \"observations\": %d }"
-                     w rel n)
-                 r.q_reliability))
-           r.q_telemetry r.q_certificate
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let run r =
+    J.Obj
+      [ ("policy", J.String r.q_label); ("items", J.Int r.q_items);
+        ("resolved", J.Int r.q_resolved); ("correct", J.Int r.q_correct);
+        ("accuracy", J.Float (quality_accuracy r)); ("answers", J.Int r.q_answers);
+        ("early_stopped", J.Int r.q_early_stopped); ("escalated", J.Int r.q_escalated);
+        ("rounds", J.Int r.q_rounds);
+        ("reliability",
+         J.Obj
+           (List.map
+              (fun (w, rel, n) ->
+                (w, J.Obj [ ("mean", J.Float rel); ("observations", J.Int n) ]))
+              r.q_reliability));
+        ("telemetry", r.q_telemetry); ("certificate", r.q_certificate) ]
+  in
+  J.Obj
+    [ ("benchmark", J.String "quality");
+      ("crowd", J.String "4 diligent + 1 sloppy, router-driven assignment");
+      ("seed", J.Int seed);
+      ("adaptive",
+       J.Obj [ ("tau", J.Float 0.9); ("min_votes", J.Int 2); ("max_votes", J.Int 5) ]);
+      ("runs", J.List (List.map run runs)) ]
 
 let quality_check runs =
   let find l = List.find (fun r -> r.q_label = l) runs in
@@ -1166,10 +1124,7 @@ let run_quality () =
   let seed = 7 and items = 60 in
   let runs = quality_runs ~seed ~items in
   List.iter pp_quality_run runs;
-  let out = open_out "BENCH_quality.json" in
-  output_string out (quality_json ~seed runs);
-  close_out out;
-  Format.printf "  wrote BENCH_quality.json@.";
+  write_artifact "BENCH_quality.json" (quality_json ~seed runs);
   List.iter (fun what -> Format.printf "  NOTE: %s@." what) (quality_check runs)
 
 let run_quality_smoke () =
@@ -1254,8 +1209,8 @@ type dur_recovery_run = {
   r_write_seconds : float;
   r_recover_seconds : float;
   r_identical : bool;
-  r_telemetry : string;
-  r_certificate : string;
+  r_telemetry : J.t;
+  r_certificate : J.t;
 }
 
 (* A labelling campaign of [tasks] journaled supplies: bulk state goes in
@@ -1332,35 +1287,29 @@ let pp_dur_recovery_run r =
     r.r_segments_scanned r.r_identical
 
 let durability_json policies recoveries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"durability\",\n";
-  Buffer.add_string buf "  \"payload_bytes\": 128,\n  \"fsync_policies\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"policy\": \"%s\", \"appends\": %d, \"fsyncs\": %d, \
-            \"rotations\": %d, \"seconds\": %.6f, \"appends_per_sec\": %.0f }%s\n"
-           r.d_policy r.d_appends r.d_fsyncs r.d_rotations r.d_seconds
-           (float_of_int r.d_appends /. Float.max 1e-9 r.d_seconds)
-           (if i = List.length policies - 1 then "" else ",")))
-    policies;
-  Buffer.add_string buf "  ],\n  \"recovery\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"tasks\": %d, \"compacted\": %b, \"records_replayed\": %d, \
-            \"base_segment\": %d, \"segments_scanned\": %d, \
-            \"write_seconds\": %.6f, \"recover_seconds\": %.6f, \
-            \"identical_results\": %b, \"telemetry\": %s, \"certificate\": %s }%s\n"
-           r.r_tasks r.r_compacted r.r_records_replayed r.r_base_segment
-           r.r_segments_scanned r.r_write_seconds r.r_recover_seconds r.r_identical
-           r.r_telemetry r.r_certificate
-           (if i = List.length recoveries - 1 then "" else ",")))
-    recoveries;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let policy r =
+    J.Obj
+      [ ("policy", J.String r.d_policy); ("appends", J.Int r.d_appends);
+        ("fsyncs", J.Int r.d_fsyncs); ("rotations", J.Int r.d_rotations);
+        ("seconds", J.Float r.d_seconds);
+        ("appends_per_sec",
+         J.Float (float_of_int r.d_appends /. Float.max 1e-9 r.d_seconds)) ]
+  in
+  let recovery r =
+    J.Obj
+      [ ("tasks", J.Int r.r_tasks); ("compacted", J.Bool r.r_compacted);
+        ("records_replayed", J.Int r.r_records_replayed);
+        ("base_segment", J.Int r.r_base_segment);
+        ("segments_scanned", J.Int r.r_segments_scanned);
+        ("write_seconds", J.Float r.r_write_seconds);
+        ("recover_seconds", J.Float r.r_recover_seconds);
+        ("identical_results", J.Bool r.r_identical); ("telemetry", r.r_telemetry);
+        ("certificate", r.r_certificate) ]
+  in
+  J.Obj
+    [ ("benchmark", J.String "durability"); ("payload_bytes", J.Int 128);
+      ("fsync_policies", J.List (List.map policy policies));
+      ("recovery", J.List (List.map recovery recoveries)) ]
 
 (* The deterministic gates: fsync counts must order with the policies,
    recovery must be exact, and compaction must bound the replay length
@@ -1416,10 +1365,7 @@ let run_durability () =
       [ 300; 1200 ]
   in
   List.iter pp_dur_recovery_run recoveries;
-  let out = open_out "BENCH_durability.json" in
-  output_string out (durability_json policies recoveries);
-  close_out out;
-  Format.printf "  wrote BENCH_durability.json@.";
+  write_artifact "BENCH_durability.json" (durability_json policies recoveries);
   List.iter (fun what -> Format.printf "  NOTE: %s@." what) (dur_check policies recoveries)
 
 let run_durability_smoke () =
@@ -1579,48 +1525,35 @@ let monitor_check_failures c =
 
 let monitor_json_report ~seed ~items ~budget (engine, mon, outcome)
     (engine_b, mon_b, outcome_b, checks) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"monitor\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d, \"items\": %d,\n" seed items);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"campaign\": {\n\
-       \    \"rounds\": %d, \"stop\": \"%s\",\n\
-       \    \"e2e_p50\": %.2f, \"e2e_p95\": %.2f, \"e2e_p99\": %.2f,\n\
-       \    \"monitor\": %s,\n\
-       \    \"telemetry\": %s,\n\
-       \    \"certificate\": %s\n\
-       \  },\n"
-       outcome.Crowd.Simulator.rounds
-       (stop_name outcome.Crowd.Simulator.stop_reason)
-       (monitor_e2e mon 0.5) (monitor_e2e mon 0.95) (monitor_e2e mon 0.99)
-       (Cylog.Monitor.to_json mon)
-       (telemetry_snapshot (Cylog.Engine.metrics engine))
-       (certificate_snapshot engine));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"budget_capped\": {\n\
-       \    \"budget\": %d, \"rounds\": %d, \"stop\": \"%s\",\n\
-       \    \"crossing_round\": %d, \"alert_round\": %d,\n\
-       \    \"alert_fired_once\": %b, \"stopped_via_alert\": %b, \
-        \"stopped_within_one_round\": %b,\n\
-       \    \"recount_agrees\": %b, \"recovered_agrees\": %b,\n\
-       \    \"monitor\": %s,\n\
-       \    \"telemetry\": %s,\n\
-       \    \"certificate\": %s\n\
-       \  }\n}\n"
-       budget outcome_b.Crowd.Simulator.rounds
-       (stop_name outcome_b.Crowd.Simulator.stop_reason)
-       (Option.value (budget_crossing mon_b budget) ~default:(-1))
-       (match budget_firings mon_b with
-       | f :: _ -> f.at_round
-       | [] -> -1)
-       checks.c_fired_once checks.c_stopped_via_alert checks.c_within_one_round
-       checks.c_recount checks.c_recovered
-       (Cylog.Monitor.to_json mon_b)
-       (telemetry_snapshot (Cylog.Engine.metrics engine_b))
-       (certificate_snapshot engine_b));
-  Buffer.contents buf
+  let stop (o : Crowd.Simulator.outcome) = J.String (stop_name o.stop_reason) in
+  let observed engine mon =
+    [ ("monitor", Cylog.Monitor.to_json mon);
+      ("telemetry", telemetry_snapshot (Cylog.Engine.metrics engine));
+      ("certificate", certificate_snapshot engine) ]
+  in
+  J.Obj
+    [ ("benchmark", J.String "monitor"); ("seed", J.Int seed); ("items", J.Int items);
+      ("campaign",
+       J.Obj
+         ([ ("rounds", J.Int outcome.Crowd.Simulator.rounds); ("stop", stop outcome);
+            ("e2e_p50", J.Float (monitor_e2e mon 0.5));
+            ("e2e_p95", J.Float (monitor_e2e mon 0.95));
+            ("e2e_p99", J.Float (monitor_e2e mon 0.99)) ]
+         @ observed engine mon));
+      ("budget_capped",
+       J.Obj
+         ([ ("budget", J.Int budget); ("rounds", J.Int outcome_b.Crowd.Simulator.rounds);
+            ("stop", stop outcome_b);
+            ("crossing_round",
+             J.Int (Option.value (budget_crossing mon_b budget) ~default:(-1)));
+            ("alert_round",
+             J.Int (match budget_firings mon_b with f :: _ -> f.at_round | [] -> -1));
+            ("alert_fired_once", J.Bool checks.c_fired_once);
+            ("stopped_via_alert", J.Bool checks.c_stopped_via_alert);
+            ("stopped_within_one_round", J.Bool checks.c_within_one_round);
+            ("recount_agrees", J.Bool checks.c_recount);
+            ("recovered_agrees", J.Bool checks.c_recovered) ]
+         @ observed engine_b mon_b)) ]
 
 let pp_monitor_run label mon (outcome : Crowd.Simulator.outcome) =
   Format.printf
@@ -1651,10 +1584,8 @@ let run_monitor () =
         f.at_round
         (Cylog.Event.alert_to_string f.alert)
   | [] -> Format.printf "  budget %d never crossed@." budget);
-  let out = open_out "BENCH_monitor.json" in
-  output_string out (monitor_json_report ~seed ~items ~budget (engine, mon, outcome) capped);
-  close_out out;
-  Format.printf "  wrote BENCH_monitor.json@.";
+  write_artifact "BENCH_monitor.json"
+    (monitor_json_report ~seed ~items ~budget (engine, mon, outcome) capped);
   List.iter
     (fun what -> Format.printf "  NOTE: %s@." what)
     (monitor_check_failures checks)
@@ -1663,86 +1594,26 @@ let run_monitor () =
 (* Telemetry: JSON-output smoke test and null-sink overhead gate       *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal JSON well-formedness checker, enough for the dialect
-   Telemetry emits (objects, arrays, strings with escapes, ints/floats,
-   booleans, null). Validates the whole input is one JSON value. *)
-exception Bad_json
+(* The smoke gates read each JSON surface back through [Json.of_string]
+   and compare content, so a printer that drops or garbles a member fails
+   them, not only one that emits malformed text. *)
+let read_back s = Result.to_option (J.of_string s)
+let member k = function Some (J.Obj kv) -> List.assoc_opt k kv | _ -> None
 
-let json_parses s =
-  let n = String.length s in
-  let i = ref 0 in
-  let peek () = if !i < n then s.[!i] else raise Bad_json in
-  let adv () = incr i in
-  let skip_ws () =
-    while !i < n && (match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      adv ()
-    done
-  in
-  let expect c = if peek () <> c then raise Bad_json else adv () in
-  let keyword k = String.iter (fun c -> if peek () <> c then raise Bad_json else adv ()) k in
-  let pstring () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | '"' -> adv ()
-      | '\\' -> adv (); ignore (peek ()); adv (); go ()
-      | _ -> adv (); go ()
-    in
-    go ()
-  in
-  let digits () =
-    let saw = ref false in
-    while !i < n && (match s.[!i] with '0' .. '9' -> true | _ -> false) do
-      saw := true;
-      adv ()
-    done;
-    if not !saw then raise Bad_json
-  in
-  let number () =
-    if peek () = '-' then adv ();
-    digits ();
-    if !i < n && s.[!i] = '.' then (adv (); digits ());
-    if !i < n && (s.[!i] = 'e' || s.[!i] = 'E') then begin
-      adv ();
-      if !i < n && (s.[!i] = '+' || s.[!i] = '-') then adv ();
-      digits ()
-    end
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-    | '{' ->
-        adv ();
-        skip_ws ();
-        if peek () = '}' then adv ()
-        else
-          let rec members () =
-            skip_ws (); pstring (); skip_ws (); expect ':'; value (); skip_ws ();
-            if peek () = ',' then (adv (); members ()) else expect '}'
-          in
-          members ()
-    | '[' ->
-        adv ();
-        skip_ws ();
-        if peek () = ']' then adv ()
-        else
-          let rec elements () =
-            value (); skip_ws ();
-            if peek () = ',' then (adv (); elements ()) else expect ']'
-          in
-          elements ()
-    | '"' -> pstring ()
-    | 't' -> keyword "true"
-    | 'f' -> keyword "false"
-    | 'n' -> keyword "null"
-    | '-' | '0' .. '9' -> number ()
-    | _ -> raise Bad_json);
-    skip_ws ()
-  in
-  try
-    value ();
-    !i = n
-  with Bad_json -> false
+(* The printed registry [v] carries exactly [m]'s counters and values. *)
+let counters_read_back m v =
+  let counters = Cylog.Telemetry.Metrics.counters m in
+  member "counters" v = Some (J.Obj (List.map (fun (k, n) -> (k, J.Int n)) counters))
+
+let span_read_back (s : Cylog.Telemetry.span) =
+  let v = read_back (Cylog.Telemetry.span_to_json s) in
+  let attrs = List.map (fun (k, x) -> (k, J.String x)) s.attrs in
+  member "id" v = Some (J.Int s.id)
+  && member "parent" v = Some (J.Int s.parent)
+  && member "name" v = Some (J.String s.name)
+  && member "started" v = Some (J.Int s.started)
+  && member "ended" v = Some (J.Int s.ended)
+  && member "attrs" v = (if attrs = [] then None else Some (J.Obj attrs))
 
 (* The counters any campaign with tasks, leases and a quorum must have
    produced — the smoke contract for --metrics-out consumers. *)
@@ -1793,11 +1664,16 @@ let run_telemetry_smoke () =
       Format.printf "  FAIL: %s@." what
     end
   in
-  let metrics_json = Cylog.Telemetry.Metrics.to_json (Cylog.Engine.metrics engine) in
-  check "metrics JSON does not parse" (json_parses metrics_json);
+  let metrics = Cylog.Engine.metrics engine in
+  check "a registry counter does not read back from the metrics JSON"
+    (counters_read_back metrics
+       (read_back (J.to_string (Cylog.Telemetry.Metrics.to_json metrics))));
   check "no spans were emitted" (!spans <> []);
   List.iter
-    (fun s -> check "span JSON line does not parse" (json_parses (Cylog.Telemetry.span_to_json s)))
+    (fun (s : Cylog.Telemetry.span) ->
+      check
+        (Printf.sprintf "span %d does not read back from its JSON line" s.id)
+        (span_read_back s))
     !spans;
   List.iter
     (fun key ->
@@ -1816,7 +1692,9 @@ let run_telemetry_smoke () =
   check "journal recount disagrees with live registry"
     (derived recount = derived (Cylog.Engine.metrics engine));
   if !failures > 0 then exit 1;
-  Format.printf "  ok: JSON parses, %d mandatory keys present, journal recount agrees@."
+  Format.printf
+    "  ok: counters and spans read back from JSON, %d mandatory keys present, journal \
+     recount agrees@."
     (List.length mandatory_metric_keys)
 
 let run_telemetry_overhead () =
@@ -1874,26 +1752,43 @@ let run_monitor_smoke () =
   section "Monitor smoke: budget watchdog on the seeded faulted campaign";
   let (_, mon, outcome, checks) = monitor_budget_run ~seed:7 ~items:30 ~budget:30 in
   pp_monitor_run "budget-capped" mon outcome;
-  let failures = monitor_check_failures checks in
-  let failures =
-    if json_parses (Cylog.Monitor.to_json mon) then failures
-    else failures @ [ "monitor JSON does not parse" ]
+  let dashboard = Cylog.Monitor.to_json mon in
+  (* JSONL: the dashboard's series then its alerts, one tagged object a
+     line, carrying the rounds of the live points and firings *)
+  let tagged tag = function
+    | Some (J.List l) ->
+        List.map (function J.Obj kv -> J.Obj (("type", J.String tag) :: kv) | v -> v) l
+    | _ -> []
+  in
+  let lines =
+    List.filter_map
+      (fun l -> if l = "" then None else read_back l)
+      (String.split_on_char '\n' (Cylog.Monitor.to_jsonl mon))
+  in
+  let rounds =
+    List.map (fun (p : Cylog.Monitor.point) -> p.p_round) (Cylog.Monitor.points mon)
+    @ List.map (fun (f : Cylog.Monitor.firing) -> f.at_round) (Cylog.Monitor.firings mon)
   in
   let jsonl_ok =
-    List.for_all json_parses
-      (List.filter
-         (fun l -> String.trim l <> "")
-         (String.split_on_char '\n' (Cylog.Monitor.to_jsonl mon)))
+    lines
+    = tagged "point" (member "series" (Some dashboard))
+      @ tagged "alert" (member "alerts" (Some dashboard))
+    && List.map (fun v -> member "round" (Some v)) lines
+       = List.map (fun r -> Some (J.Int r)) rounds
   in
   let failures =
-    if jsonl_ok then failures
-    else failures @ [ "a monitor JSONL line does not parse" ]
+    monitor_check_failures checks
+    @ List.filter_map
+        (fun (what, ok) -> if ok then None else Some what)
+        [ ("monitor JSON does not read back whole",
+           read_back (J.to_string dashboard) = Some dashboard);
+          ("monitor JSONL is not one line per series point and alert", jsonl_ok) ]
   in
   match failures with
   | [] ->
       Format.printf
-        "  ok: alert fired once, campaign stopped on it, JSON parses, recount \
-         and recovery agree@."
+        "  ok: alert fired once, campaign stopped on it, JSON and JSONL read \
+         back, recount and recovery agree@."
   | failures ->
       List.iter (fun what -> Format.printf "  FAIL: %s@." what) failures;
       exit 1
@@ -1978,18 +1873,20 @@ let pp_serve_run r =
     r.sv_answers r.sv_resolved
 
 let serve_json runs =
-  let run_json r =
-    Printf.sprintf
-      {|    { "shards": %d, "campaigns": %d, "items": %d, "workers": %d, "journaled": %b,
-      "ops": %d, "elapsed_s": %.6f, "ops_per_s": %.0f,
-      "latency_ns": { "p50": %.0f, "p95": %.0f, "p99": %.0f },
-      "answers": %d, "resolved": %d, "completed": %b }|}
-      r.sv_shards r.sv_campaigns r.sv_items r.sv_workers r.sv_journaled r.sv_ops
-      r.sv_elapsed r.sv_ops_per_s r.sv_p50_ns r.sv_p95_ns r.sv_p99_ns
-      r.sv_answers r.sv_resolved r.sv_stopped
+  let run r =
+    J.Obj
+      [ ("shards", J.Int r.sv_shards); ("campaigns", J.Int r.sv_campaigns);
+        ("items", J.Int r.sv_items); ("workers", J.Int r.sv_workers);
+        ("journaled", J.Bool r.sv_journaled); ("ops", J.Int r.sv_ops);
+        ("elapsed_s", J.Float r.sv_elapsed); ("ops_per_s", J.Float r.sv_ops_per_s);
+        ("latency_ns",
+         J.Obj
+           [ ("p50", J.Float r.sv_p50_ns); ("p95", J.Float r.sv_p95_ns);
+             ("p99", J.Float r.sv_p99_ns) ]);
+        ("answers", J.Int r.sv_answers); ("resolved", J.Int r.sv_resolved);
+        ("completed", J.Bool r.sv_stopped) ]
   in
-  Printf.sprintf "{\n  \"serve\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map run_json runs))
+  J.Obj [ ("serve", J.List (List.map run runs)) ]
 
 (* Regression gates for both the full bench and the smoke: every run
    completes with the exact quorum arithmetic (items × campaigns tasks,
@@ -2039,10 +1936,7 @@ let run_serve () =
   in
   pp_serve_run durable;
   let runs = scaling @ [ durable ] in
-  let out = open_out "BENCH_serve.json" in
-  output_string out (serve_json runs);
-  close_out out;
-  Format.printf "  wrote BENCH_serve.json@.";
+  write_artifact "BENCH_serve.json" (serve_json runs);
   List.iter (fun what -> Format.printf "  NOTE: %s@." what) (serve_check runs)
 
 (* The serve regression gate, wired into [dune runtest] via the
@@ -2122,8 +2016,13 @@ let run_serve_smoke () =
           m.Server.Fleet.f_retired tasks;
       if m.Server.Fleet.f_pending <> 0 then
         fail "merged monitor reports %d pending" m.Server.Fleet.f_pending);
-  if not (json_parses (Server.Fleet.to_json view)) then
-    fail "fleet JSON does not parse";
+  (let fleet = read_back (J.to_string (Server.Fleet.to_json view)) in
+   if member "requests" fleet <> Some (J.Int view.Server.Fleet.requests) then
+     fail "fleet JSON requests do not read back as %d" view.Server.Fleet.requests;
+   if member "live_shards" fleet <> Some (J.Int view.Server.Fleet.live_shards) then
+     fail "fleet JSON live_shards do not read back as %d" view.Server.Fleet.live_shards;
+   if not (counters_read_back view.Server.Fleet.metrics (member "metrics" fleet)) then
+     fail "a fleet registry counter does not read back from the fleet JSON");
   (* recovery round-trip per shard: compact, recover, compare traces —
      the replay after the snapshot must be O(live state), i.e. ~nothing
      for a finished campaign *)

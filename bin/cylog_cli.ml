@@ -141,8 +141,8 @@ let with_telemetry_outputs metrics_out trace_out engine k =
       (match metrics_out with
       | Some path ->
           let oc = open_out path in
-          output_string oc
-            (Cylog.Telemetry.Metrics.to_json (Cylog.Engine.metrics engine));
+          let metrics = Cylog.Telemetry.Metrics.to_json (Cylog.Engine.metrics engine) in
+          output_string oc (Cylog.Json.to_string metrics);
           output_char oc '\n';
           close_out oc
       | None -> ());
@@ -169,7 +169,7 @@ let with_monitor_output monitor_out engine k =
           | Some mon when Filename.check_suffix path ".jsonl" ->
               output_string oc (Cylog.Monitor.to_jsonl mon)
           | _ ->
-              output_string oc (Cylog.Engine.monitor_json engine);
+              output_string oc (Cylog.Json.to_string (Cylog.Engine.monitor_json engine));
               output_char oc '\n');
           close_out oc
       | None -> ())
@@ -323,7 +323,7 @@ let analyze_cmd format votes path =
       in
       let cert = Cylog.Analysis.analyze ~policy program in
       (match format with
-      | `Json -> print_endline (Cylog.Analysis.certificate_json cert)
+      | `Json -> print_endline (Cylog.Json.to_string (Cylog.Analysis.certificate_json cert))
       | `Text -> print_string (Cylog.Analysis.certificate_to_string cert));
       let unbounded_emission =
         List.exists
@@ -489,7 +489,7 @@ let repl_cmd file =
         | None -> ());
         `Continue
     | [ ":quality" ] ->
-        print_endline (Cylog.Pretty.quality_json engine);
+        print_endline (Cylog.Json.to_string (Cylog.Pretty.quality_json engine));
         `Continue
     | [ ":explain" ] ->
         print_string (Cylog.Engine.explain engine);

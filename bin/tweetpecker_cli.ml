@@ -281,7 +281,7 @@ let run_cmd variant n seed export faults lease quorum adaptive metrics_out trace
       | Some mon when Filename.check_suffix path ".jsonl" ->
           output_string oc (Cylog.Monitor.to_jsonl mon)
       | _ ->
-          output_string oc (Cylog.Engine.monitor_json o.engine);
+          output_string oc (Cylog.Json.to_string (Cylog.Engine.monitor_json o.engine));
           output_char oc '\n');
       close_out oc
   | None -> ());
@@ -300,15 +300,15 @@ let run_cmd variant n seed export faults lease quorum adaptive metrics_out trace
   (match metrics_out with
   | Some path ->
       let oc = open_out path in
-      output_string oc
-        (Cylog.Telemetry.Metrics.to_json (Cylog.Engine.metrics o.engine));
+      let metrics = Cylog.Telemetry.Metrics.to_json (Cylog.Engine.metrics o.engine) in
+      output_string oc (Cylog.Json.to_string metrics);
       output_char oc '\n';
       close_out oc
   | None -> ());
   (match quality_out with
   | Some path ->
       let oc = open_out path in
-      output_string oc (Cylog.Pretty.quality_json o.engine);
+      output_string oc (Cylog.Json.to_string (Cylog.Pretty.quality_json o.engine));
       output_char oc '\n';
       close_out oc
   | None -> ());
@@ -426,7 +426,7 @@ let serve_cmd shards workers campaigns items seed quorum accuracy max_rounds
   match monitor_out with
   | Some path ->
       let oc = open_out path in
-      output_string oc (Server.Fleet.to_json view);
+      output_string oc (Cylog.Json.to_string (Server.Fleet.to_json view));
       output_char oc '\n';
       close_out oc
   | None -> ()

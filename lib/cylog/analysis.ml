@@ -90,38 +90,6 @@ type certificate = {
   cert_assumptions : string list;
 }
 
-(* -- Game-aspect desugaring (mirrors Engine.effective_statements) -------- *)
-
-let path_relation_name game = "Path@" ^ game
-
-let rewrite_atom game params (atom : Ast.atom) =
-  if not (String.equal atom.Ast.pred "Path") then atom
-  else
-    {
-      Ast.pred = path_relation_name game;
-      args =
-        List.map (fun p -> { Ast.attr = p; bind = Ast.Auto }) params @ atom.Ast.args;
-    }
-
-let rewrite_literal game params (l : Ast.literal) =
-  match l.Ast.lit with
-  | Ast.Pos a -> { l with Ast.lit = Ast.Pos (rewrite_atom game params a) }
-  | Ast.Neg a -> { l with Ast.lit = Ast.Neg (rewrite_atom game params a) }
-  | Ast.Cmp _ | Ast.Call _ -> l
-
-let rewrite_head game params (h : Ast.head) =
-  match h.Ast.head with
-  | Ast.Head_atom { atom; kind } ->
-      { h with Ast.head = Ast.Head_atom { atom = rewrite_atom game params atom; kind } }
-  | Ast.Head_payoff _ -> h
-
-let rewrite_statement game params (s : Ast.statement) =
-  {
-    s with
-    Ast.heads = List.map (rewrite_head game params) s.heads;
-    body = List.map (rewrite_literal game params) s.body;
-  }
-
 (* Every effective statement with the Skolem parameters implicitly bound
    in it (game rules only; the engine passes them through the Path args). *)
 let effective (p : Ast.program) =
@@ -129,46 +97,9 @@ let effective (p : Ast.program) =
   @ List.concat_map
       (fun (g : Ast.game_decl) ->
         List.map
-          (fun s ->
-            (rewrite_statement g.Ast.game_name g.Ast.game_params s, g.Ast.game_params))
+          (fun s -> (Ast.rewrite_game_statement g s, g.Ast.game_params))
           (g.Ast.path_rules @ g.Ast.payoff_rules))
       p.Ast.games
-
-(* -- Shared traversals (the same binding fixpoint as Lint) ---------------- *)
-
-let atom_vars_bound (a : Ast.atom) =
-  List.concat_map
-    (fun (arg : Ast.arg) ->
-      arg.Ast.attr
-      ::
-      (match arg.Ast.bind with Ast.Auto -> [] | Ast.Bound e -> Ast.expr_vars e))
-    a.Ast.args
-
-let body_bound ~init (body : Ast.literal list) =
-  let bound = ref init in
-  List.iter
-    (fun (l : Ast.literal) ->
-      match l.Ast.lit with
-      | Ast.Pos a -> List.iter (fun v -> bound := S.add v !bound) (atom_vars_bound a)
-      | Ast.Neg _ | Ast.Cmp _ | Ast.Call _ -> ())
-    body;
-  let closed e = List.for_all (fun v -> S.mem v !bound) (Ast.expr_vars e) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (l : Ast.literal) ->
-        match l.Ast.lit with
-        | Ast.Cmp (Ast.Var v, Ast.Eq, e) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | Ast.Cmp (e, Ast.Eq, Ast.Var v) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | _ -> ())
-      body
-  done;
-  !bound
 
 (* Relations a statement inserts tuples into, for cardinality purposes:
    Assert, Open and Update heads (Update inserts when the key is absent);
@@ -259,7 +190,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
   let declared = S.of_list (List.map (fun (d : Ast.schema_decl) -> d.Ast.rel_name) p.Ast.schemas) in
   List.iter
     (fun (g : Ast.game_decl) ->
-      let r = path_relation_name g.Ast.game_name in
+      let r = Ast.path_relation_name g.Ast.game_name in
       if (not (S.mem r declared)) && not (Hashtbl.mem autos r) then
         Hashtbl.add autos r "order")
     p.Ast.games;
@@ -278,7 +209,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
   note "Payoff" "score";
   List.iter
     (fun (g : Ast.game_decl) ->
-      let r = path_relation_name g.Ast.game_name in
+      let r = Ast.path_relation_name g.Ast.game_name in
       List.iter (note r) g.Ast.game_params;
       note r "order";
       note r "date")
@@ -401,7 +332,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
                   bump atom.Ast.pred inst
               | Ast.Head_atom { atom; kind = Ast.Open _ } ->
                   if inst = Zero then ()
-                  else if standing autos (body_bound ~init:(params_of i) s.Ast.body) atom
+                  else if standing autos (Ast.body_bound ~init:(params_of i) s.Ast.body) atom
                   then bump atom.Ast.pred (Unbounded Standing)
                   else bump atom.Ast.pred inst
               | Ast.Head_atom { kind = Ast.Delete; _ } -> ())
@@ -481,7 +412,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
                 | None -> instances s
               in
               let multiplier =
-                if standing autos (body_bound ~init:(params_of i) s.Ast.body) atom
+                if standing autos (Ast.body_bound ~init:(params_of i) s.Ast.body) atom
                 then Unbounded Standing
                 else if worker <> None then Finite 1
                 else if policy.votes > 1 && scope_ok atom.Ast.pred then
@@ -566,52 +497,34 @@ let certificate_to_string c =
   List.iter (fun a -> line "  - %s" a) c.cert_assumptions;
   Buffer.contents buf
 
-let card_json = function
-  | Zero -> {|{"kind":"finite","max":0}|}
-  | Finite n -> Printf.sprintf {|{"kind":"finite","max":%d}|} n
-  | Bounded_by_input -> {|{"kind":"bounded-by-input"}|}
+let strings l = Json.List (List.map (fun x -> Json.String x) l)
+
+let card_json card =
+  let kind k rest = Json.Obj (("kind", Json.String k) :: rest) in
+  match card with
+  | Zero -> kind "finite" [ ("max", Json.Int 0) ]
+  | Finite n -> kind "finite" [ ("max", Json.Int n) ]
+  | Bounded_by_input -> kind "bounded-by-input" []
   | Unbounded reason ->
-      let kind, cycle =
+      let r, cycle =
         match reason with
         | Standing -> ("standing", [])
         | Open_cycle c -> ("open-cycle", c)
         | Value_cycle c -> ("value-cycle", c)
       in
-      Printf.sprintf {|{"kind":"unbounded","reason":"%s","cycle":[%s]}|} kind
-        (String.concat ","
-           (List.map (fun r -> "\"" ^ Telemetry.json_escape r ^ "\"") cycle))
+      kind "unbounded" [ ("reason", Json.String r); ("cycle", strings cycle) ]
 
 let certificate_json c =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"policy\":\"";
-  Buffer.add_string buf (Telemetry.json_escape c.cert_policy);
-  Buffer.add_string buf "\",\"relations\":{";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun (r, card) ->
-            Printf.sprintf "\"%s\":%s" (Telemetry.json_escape r) (card_json card))
-          c.cert_relations));
-  Buffer.add_string buf "},\"tasks\":[";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun t ->
-            Printf.sprintf
-              {|{"label":"%s","relation":"%s","instances":%s,"per_instance":%s,"answers":%s}|}
-              (Telemetry.json_escape t.tb_label)
-              (Telemetry.json_escape t.tb_relation)
-              (card_json t.tb_instances)
-              (card_json t.tb_multiplier)
-              (card_json t.tb_answers))
-          c.cert_tasks));
-  Buffer.add_string buf "],\"total_tasks\":";
-  Buffer.add_string buf (card_json c.cert_total_tasks);
-  Buffer.add_string buf ",\"total_answers\":";
-  Buffer.add_string buf (card_json c.cert_total_answers);
-  Buffer.add_string buf ",\"assumptions\":[";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map (fun a -> "\"" ^ Telemetry.json_escape a ^ "\"") c.cert_assumptions));
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let task t =
+    Json.Obj
+      [ ("label", Json.String t.tb_label); ("relation", Json.String t.tb_relation);
+        ("instances", card_json t.tb_instances);
+        ("per_instance", card_json t.tb_multiplier); ("answers", card_json t.tb_answers) ]
+  in
+  Json.Obj
+    [ ("policy", Json.String c.cert_policy);
+      ("relations", Json.Obj (List.map (fun (r, b) -> (r, card_json b)) c.cert_relations));
+      ("tasks", Json.List (List.map task c.cert_tasks));
+      ("total_tasks", card_json c.cert_total_tasks);
+      ("total_answers", card_json c.cert_total_answers);
+      ("assumptions", strings c.cert_assumptions) ]

@@ -62,6 +62,17 @@ val card_to_string : card -> string
 val finite : card -> int option
 (** [Some n] for [Zero] (n = 0) and [Finite n]; [None] otherwise. *)
 
+val card_add : card -> card -> card
+(** Sum of two bounds: [Zero] is the unit, then [Unbounded] (keeping the
+    first reason) absorbs, then [Bounded_by_input]; finite sums saturate
+    at 10{^9} so repeated sums never overflow. *)
+
+val card_json : card -> Json.t
+(** [{"kind":"finite","max":n}] ([Zero] is [max] 0),
+    [{"kind":"bounded-by-input"}] or
+    [{"kind":"unbounded","reason":r,"cycle":[...]}] with [r] one of
+    [standing], [open-cycle], [value-cycle]. *)
+
 (** The redundant-assignment policy the certificate charges per task:
     [votes] answers for each undesignated, non-standing open tuple whose
     relation falls in [scope] ([None] = every relation) — mirroring the
@@ -103,7 +114,7 @@ val certificate_to_string : certificate -> string
 (** The certificate as a stable multi-line report: relation table, per
     open statement bounds, totals, policy and assumptions. *)
 
-val certificate_json : certificate -> string
-(** The certificate as one deterministic JSON object with [relations],
-    [tasks], [total_tasks], [total_answers], [policy] and [assumptions]
-    fields; cards render as [{"kind": ...}] objects. *)
+val certificate_json : certificate -> Json.t
+(** The certificate as one deterministic JSON object with [policy],
+    [relations], [tasks], [total_tasks], [total_answers] and
+    [assumptions] fields; cards render as {!card_json}. *)

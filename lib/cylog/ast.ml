@@ -155,3 +155,49 @@ let statement_is_open s =
       | Head_atom { kind = Open _; _ } -> true
       | Head_atom _ | Head_payoff _ -> false)
     s.heads
+
+(* -- Game-aspect desugaring --------------------------------------------- *)
+
+let path_relation_name game = "Path@" ^ game
+
+let rewrite_game_statement g s =
+  let atom a =
+    if a.pred <> "Path" then a
+    else
+      {
+        pred = path_relation_name g.game_name;
+        args = List.map (fun p -> { attr = p; bind = Auto }) g.game_params @ a.args;
+      }
+  in
+  let literal l =
+    match l.lit with
+    | Pos a -> { l with lit = Pos (atom a) }
+    | Neg a -> { l with lit = Neg (atom a) }
+    | Cmp _ | Call _ -> l
+  in
+  let head h =
+    match h.head with
+    | Head_atom { atom = a; kind } -> { h with head = Head_atom { atom = atom a; kind } }
+    | Head_payoff _ -> h
+  in
+  { s with heads = List.map head s.heads; body = List.map literal s.body }
+
+(* -- Binding ------------------------------------------------------------- *)
+
+module S = Set.Make (String)
+
+let body_bound ?(init = S.empty) body =
+  let arg_vars arg = arg.attr :: (match arg.bind with Auto -> [] | Bound e -> expr_vars e) in
+  let bind bound l =
+    let closed e = List.for_all (fun v -> S.mem v bound) (expr_vars e) in
+    match l.lit with
+    | Pos a -> List.fold_left (fun b v -> S.add v b) bound (List.concat_map arg_vars a.args)
+    | Cmp (Var v, Eq, e) when closed e -> S.add v bound
+    | Cmp (e, Eq, Var v) when closed e -> S.add v bound
+    | Neg _ | Cmp _ | Call _ -> bound
+  in
+  let rec fix bound =
+    let bound' = List.fold_left bind bound body in
+    if S.equal bound bound' then bound else fix bound'
+  in
+  fix init

@@ -152,3 +152,23 @@ val statement_is_fact : statement -> bool
 
 val statement_is_open : statement -> bool
 (** True iff some head carries [/open]. *)
+
+(** {2 Game-aspect desugaring} *)
+
+val path_relation_name : string -> string
+(** The relation behind a game's [Path] atoms: [Path@<game>]. *)
+
+val rewrite_game_statement : game_decl -> statement -> statement
+(** A game rule as evaluated: each [Path] atom reads the game's
+    {!path_relation_name}, with the Skolem parameters prepended as bare
+    arguments. *)
+
+(** {2 Binding} *)
+
+val body_bound : ?init:Set.Make(String).t -> literal list -> Set.Make(String).t
+(** The variables a body binds, starting from [init] (default empty):
+    a positive atom binds every attribute name (a testing argument
+    re-exposes its attribute variable) and the variables of its bound
+    expressions, and [v = e] either way round binds [v]
+    once [e] is closed ([Eval.check_filter]). The least fixpoint, so
+    literal order does not matter, as under planner reordering. *)

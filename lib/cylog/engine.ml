@@ -374,49 +374,28 @@ let compact_journal t =
       t.wal_compact_pending <- false;
       Journal.compact j (state_string t)
 
-let path_relation_name game = "Path@" ^ game
-
 (* --- Game-aspect desugaring -------------------------------------------- *)
-
-let rewrite_atom game params (atom : Ast.atom) =
-  if atom.pred <> "Path" then atom
-  else
-    {
-      Ast.pred = path_relation_name game;
-      args = List.map (fun p -> { Ast.attr = p; bind = Ast.Auto }) params @ atom.args;
-    }
-
-let rewrite_literal game params (l : Ast.literal) =
-  match l.Ast.lit with
-  | Ast.Pos a -> { l with Ast.lit = Ast.Pos (rewrite_atom game params a) }
-  | Ast.Neg a -> { l with Ast.lit = Ast.Neg (rewrite_atom game params a) }
-  | Ast.Cmp _ | Ast.Call _ -> l
-
-let rewrite_head game params (h : Ast.head) =
-  match h.Ast.head with
-  | Ast.Head_atom { atom; kind } ->
-      { h with Ast.head = Ast.Head_atom { atom = rewrite_atom game params atom; kind } }
-  | Ast.Head_payoff _ -> h
-
-let rewrite_statement game params (s : Ast.statement) =
-  {
-    s with
-    Ast.heads = List.map (rewrite_head game params) s.heads;
-    body = List.map (rewrite_literal game params) s.body;
-  }
 
 let effective_statements (program : Ast.program) =
   let main = List.map (fun s -> (s, Main)) program.statements in
   let per_game (g : Ast.game_decl) =
     List.map
-      (fun s -> (rewrite_statement g.game_name g.game_params s, Game_path g.game_name))
+      (fun s -> (Ast.rewrite_game_statement g s, Game_path g.game_name))
       g.path_rules
     @ List.map
-        (fun s ->
-          (rewrite_statement g.game_name g.game_params s, Game_payoff g.game_name))
+        (fun s -> (Ast.rewrite_game_statement g s, Game_payoff g.game_name))
         g.payoff_rules
   in
   main @ List.concat_map per_game program.games
+
+(* Each game's path relation -> its Skolem parameters. *)
+let path_rels_of (program : Ast.program) =
+  let tbl = Hashtbl.create 4 in
+  List.iter
+    (fun (g : Ast.game_decl) ->
+      Hashtbl.replace tbl (Ast.path_relation_name g.game_name) g.game_params)
+    program.games;
+  tbl
 
 (* --- Schema inference ---------------------------------------------------- *)
 
@@ -557,11 +536,7 @@ let load ?builtins ?(use_delta = true) ?(lint = `Strict)
               Logs.warn (fun m -> m "lint: %s" (Lint.render d)))
             diags));
   let builtins = match builtins with Some b -> b | None -> Builtin.default () in
-  let path_rels = Hashtbl.create 4 in
-  List.iter
-    (fun (g : Ast.game_decl) ->
-      Hashtbl.replace path_rels (path_relation_name g.game_name) g.game_params)
-    program.games;
+  let path_rels = path_rels_of program in
   let statements = effective_statements program in
   let db = Reldb.Database.create () in
   declare_relations db program statements path_rels;
@@ -1548,7 +1523,7 @@ let set_monitor t cfg = set_monitor_exact t (certify_monitor_config t cfg)
 let monitor t = t.monitor
 
 let monitor_json t =
-  match t.monitor with Some mon -> Monitor.to_json mon | None -> "null"
+  match t.monitor with Some mon -> Monitor.to_json mon | None -> Json.Null
 
 (* A round-boundary sample: journal-first like every mutation, then run
    the watchdogs and record one event whose [Sampled]/[Alert_fired]
@@ -2373,7 +2348,7 @@ let payoff_of t player =
 (* --- Path tables --------------------------------------------------------------- *)
 
 let game_instances t game =
-  let rel_name = path_relation_name game in
+  let rel_name = Ast.path_relation_name game in
   match (Reldb.Database.find t.db rel_name, Hashtbl.find_opt t.path_rels rel_name) with
   | Some rel, Some params ->
       let seen = Hashtbl.create 16 in
@@ -2390,7 +2365,7 @@ let game_instances t game =
   | _ -> []
 
 let path_table t game ~params =
-  let rel_name = path_relation_name game in
+  let rel_name = Ast.path_relation_name game in
   match Reldb.Database.find t.db rel_name with
   | None -> []
   | Some rel ->
@@ -2579,11 +2554,7 @@ let restore ?builtins ?aggregate ic =
    reliability per-mille) reappear at the next reputation update. *)
 let restore_state ?builtins ?aggregate (p : state_payload) =
   let builtins = match builtins with Some b -> b | None -> Builtin.default () in
-  let path_rels = Hashtbl.create 4 in
-  List.iter
-    (fun (g : Ast.game_decl) ->
-      Hashtbl.replace path_rels (path_relation_name g.game_name) g.game_params)
-    p.st_program.games;
+  let path_rels = path_rels_of p.st_program in
   let added =
     List.filter_map
       (function J_add_statement s -> Some (s, Main) | _ -> None)

@@ -433,8 +433,8 @@ val set_monitor : t -> Monitor.config option -> unit
 
 val monitor : t -> Monitor.t option
 
-val monitor_json : t -> string
-(** {!Cylog.Monitor.to_json} of the installed monitor; ["null"] when none
+val monitor_json : t -> Json.t
+(** {!Cylog.Monitor.to_json} of the installed monitor; [Null] when none
     is installed. *)
 
 val monitor_sample : t -> round:int -> Monitor.firing list
@@ -469,9 +469,6 @@ val game_instances : t -> string -> Reldb.Tuple.t list
 val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tuple.t list
 (** The path table of one game instance, in play order, with the per-
     instance [order] column renumbered from 1 as in Figure 6. *)
-
-val path_relation_name : string -> string
-(** Name of the internal relation backing a game's path tables. *)
 
 (** {1 Checkpoint / replay}
 

@@ -89,18 +89,6 @@ let head_writes ?(kinds = [ `Assert; `Open; `Update ]) (s : Ast.statement) =
       | Ast.Head_payoff _ -> None)
     s.Ast.heads
 
-(* Variables a positive atom makes available downstream: every attribute
-   name (testing arguments re-expose the attribute variable, see
-   [Eval.match_atom]) plus the variables of bound expressions (alias
-   bindings and list destructuring both bind). *)
-let atom_vars_bound (a : Ast.atom) =
-  List.concat_map
-    (fun (arg : Ast.arg) ->
-      arg.Ast.attr
-      ::
-      (match arg.Ast.bind with Ast.Auto -> [] | Ast.Bound e -> Ast.expr_vars e))
-    a.Ast.args
-
 (* Variables an atom needs when it only tests (negation): bare attributes
    read the equally-named variable, bound expressions their variables. *)
 let atom_vars_used (a : Ast.atom) =
@@ -111,43 +99,13 @@ let atom_vars_used (a : Ast.atom) =
       | Ast.Bound e -> Ast.expr_vars e)
     a.Ast.args
 
-(* Order-insensitive binding fixpoint over a body: positive atoms bind
-   unconditionally; [v = e] (either direction) binds [v] once [e] is
-   closed, mirroring [Eval.check_filter]. Order-insensitivity avoids false
-   positives under planner reordering. *)
-let body_bound ?(init = S.empty) (body : Ast.literal list) =
-  let bound = ref init in
-  List.iter
-    (fun (l : Ast.literal) ->
-      match l.Ast.lit with
-      | Ast.Pos a -> List.iter (fun v -> bound := S.add v !bound) (atom_vars_bound a)
-      | Ast.Neg _ | Ast.Cmp _ | Ast.Call _ -> ())
-    body;
-  let closed e = List.for_all (fun v -> S.mem v !bound) (Ast.expr_vars e) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (l : Ast.literal) ->
-        match l.Ast.lit with
-        | Ast.Cmp (Ast.Var v, Ast.Eq, e) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | Ast.Cmp (e, Ast.Eq, Ast.Var v) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | _ -> ())
-      body
-  done;
-  !bound
-
 let sorted_unbound bound vars =
   List.sort_uniq String.compare (List.filter (fun v -> not (S.mem v bound)) vars)
 
 (* -- Family 1: safety / range restriction -------------------------------- *)
 
 let check_safety ~params (s : Ast.statement) =
-  let bound = body_bound ~init:params s.Ast.body in
+  let bound = Ast.body_bound ~init:params s.Ast.body in
   let out = ref [] in
   let emit d = out := d :: !out in
   List.iter
@@ -676,12 +634,16 @@ let render ?(file = "<input>") d =
 
 let render_json ?(file = "<input>") diags =
   let one d =
-    Printf.sprintf
-      "{\"file\":\"%s\",\"code\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\",\"span\":{\"start_line\":%d,\"start_col\":%d,\"end_line\":%d,\"end_col\":%d}}"
-      (Telemetry.json_escape file) (Telemetry.json_escape d.code)
-      (severity_name d.severity)
-      (Telemetry.json_escape d.message)
-      d.span.Ast.start_line d.span.Ast.start_col
-      d.span.Ast.end_line d.span.Ast.end_col
+    let span = d.span in
+    Json.Obj
+      [ ("file", Json.String file); ("code", Json.String d.code);
+        ("severity", Json.String (severity_name d.severity));
+        ("message", Json.String d.message);
+        ( "span",
+          Json.Obj
+            [ ("start_line", Json.Int span.Ast.start_line);
+              ("start_col", Json.Int span.Ast.start_col);
+              ("end_line", Json.Int span.Ast.end_line);
+              ("end_col", Json.Int span.Ast.end_col) ] ) ]
   in
-  "[" ^ String.concat "," (List.map one diags) ^ "]"
+  Json.to_string (Json.List (List.map one diags))

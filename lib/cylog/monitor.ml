@@ -404,97 +404,69 @@ let view t =
 
 (* --- Rendering ---------------------------------------------------------------- *)
 
-let opt_int = function None -> "null" | Some v -> string_of_int v
-let pct_json v = if v < 0 then "null" else string_of_int v
+let opt_int = function None -> Json.Null | Some v -> Json.Int v
+let pct_json v = if v < 0 then Json.Null else Json.Int v
 
 let config_json c =
-  Printf.sprintf
-    "{\"series_capacity\":%d,\"cost_per_answer\":%d,\"max_budget\":%s,\
-     \"certified_bound\":%s,\"max_p99_latency\":%s,\"min_agreement_pct\":%s,\
-     \"max_dead_letter_pct\":%s,\"stall_samples\":%s}"
-    c.series_capacity c.cost_per_answer (opt_int c.max_budget)
-    (opt_int c.certified_bound) (opt_int c.max_p99_latency)
-    (opt_int c.min_agreement_pct) (opt_int c.max_dead_letter_pct)
-    (opt_int c.stall_samples)
+  Json.Obj
+    [ ("series_capacity", Json.Int c.series_capacity);
+      ("cost_per_answer", Json.Int c.cost_per_answer); ("max_budget", opt_int c.max_budget);
+      ("certified_bound", opt_int c.certified_bound);
+      ("max_p99_latency", opt_int c.max_p99_latency);
+      ("min_agreement_pct", opt_int c.min_agreement_pct);
+      ("max_dead_letter_pct", opt_int c.max_dead_letter_pct);
+      ("stall_samples", opt_int c.stall_samples) ]
 
-let point_json p =
-  Printf.sprintf
-    "{\"round\":%d,\"clock\":%d,\"spent\":%d,\"answers\":%d,\"pending\":%d,\
-     \"oldest_age\":%d,\"e2e_p50\":%.2f,\"e2e_p95\":%.2f,\"e2e_p99\":%.2f,\
-     \"agreement_pct\":%s,\"posterior_pct\":%s,\"dead_letter_pct\":%d}"
-    p.p_round p.p_clock p.p_spent p.p_answers p.p_pending p.p_oldest_age p.p_e2e_p50
-    p.p_e2e_p95 p.p_e2e_p99 (pct_json p.p_agreement_pct) (pct_json p.p_posterior_pct)
-    p.p_dead_letter_pct
+let point_fields p =
+  [ ("round", Json.Int p.p_round); ("clock", Json.Int p.p_clock);
+    ("spent", Json.Int p.p_spent); ("answers", Json.Int p.p_answers);
+    ("pending", Json.Int p.p_pending); ("oldest_age", Json.Int p.p_oldest_age);
+    ("e2e_p50", Json.Float p.p_e2e_p50); ("e2e_p95", Json.Float p.p_e2e_p95);
+    ("e2e_p99", Json.Float p.p_e2e_p99); ("agreement_pct", pct_json p.p_agreement_pct);
+    ("posterior_pct", pct_json p.p_posterior_pct);
+    ("dead_letter_pct", Json.Int p.p_dead_letter_pct) ]
 
-let firing_json f =
+let firing_fields f =
   let observed, limit = Event.alert_numbers f.alert in
-  Printf.sprintf
-    "{\"round\":%d,\"clock\":%d,\"kind\":\"%s\",\"observed\":%d,\"limit\":%d,\
-     \"message\":\"%s\"}"
-    f.at_round f.at_clock
-    (Telemetry.json_escape (Event.alert_key f.alert))
-    observed limit
-    (Telemetry.json_escape (Event.alert_to_string f.alert))
+  [ ("round", Json.Int f.at_round); ("clock", Json.Int f.at_clock);
+    ("kind", Json.String (Event.alert_key f.alert)); ("observed", Json.Int observed);
+    ("limit", Json.Int limit); ("message", Json.String (Event.alert_to_string f.alert)) ]
+
+let point_json p = Json.Obj (point_fields p)
 
 let hist_json h =
-  Printf.sprintf
-    "{\"count\":%d,\"sum\":%d,\"p50\":%.2f,\"p95\":%.2f,\"p99\":%.2f}"
-    h.Telemetry.Metrics.count h.Telemetry.Metrics.sum
-    (Telemetry.Metrics.quantile h 0.50)
-    (Telemetry.Metrics.quantile h 0.95)
-    (Telemetry.Metrics.quantile h 0.99)
+  let q x = Json.Float (Telemetry.Metrics.quantile h x) in
+  Json.Obj
+    [ ("count", Json.Int h.Telemetry.Metrics.count);
+      ("sum", Json.Int h.Telemetry.Metrics.sum); ("p50", q 0.50); ("p95", q 0.95);
+      ("p99", q 0.99) ]
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"config\":";
-  Buffer.add_string buf (config_json t.config);
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"totals\":{\"samples\":%d,\"spent\":%d,\"answers\":%d,\"resolved\":%d,\
-        \"dead_lettered\":%d,\"pending\":%d,\"agreement_pct\":%s,\
-        \"posterior_pct\":%s,\"dead_letter_pct\":%d}"
-       t.samples (spent t) t.answers t.resolved t.dead (pending t)
-       (pct_json (agreement_pct t))
-       (pct_json (posterior_pct t))
-       (dead_letter_pct t));
-  Buffer.add_string buf ",\"lifecycle\":{";
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%s" (Telemetry.json_escape name) (hist_json h)))
-    (histograms t);
-  Buffer.add_string buf "},\"series\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (point_json p))
-    (points t);
-  Buffer.add_string buf
-    (Printf.sprintf "],\"dropped_points\":%d,\"alerts\":[" (dropped_points t));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (firing_json f))
-    (firings t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("config", config_json t.config);
+      ( "totals",
+        Json.Obj
+          [ ("samples", Json.Int t.samples); ("spent", Json.Int (spent t));
+            ("answers", Json.Int t.answers); ("resolved", Json.Int t.resolved);
+            ("dead_lettered", Json.Int t.dead); ("pending", Json.Int (pending t));
+            ("agreement_pct", pct_json (agreement_pct t));
+            ("posterior_pct", pct_json (posterior_pct t));
+            ("dead_letter_pct", Json.Int (dead_letter_pct t)) ] );
+      ("lifecycle", Json.Obj (List.map (fun (k, h) -> (k, hist_json h)) (histograms t)));
+      ("series", Json.List (List.map point_json (points t)));
+      ("dropped_points", Json.Int (dropped_points t));
+      ("alerts", Json.List (List.map (fun f -> Json.Obj (firing_fields f)) (firings t))) ]
 
 (* One JSON object per line: every series point, then every alert, each
    tagged with a ["type"] discriminator — the streaming-friendly dump
    behind [--monitor-out file.jsonl]. *)
 let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  let tagged tag json =
-    Buffer.add_string buf "{\"type\":\"";
-    Buffer.add_string buf tag;
-    Buffer.add_string buf "\",";
-    Buffer.add_string buf (String.sub json 1 (String.length json - 1));
-    Buffer.add_char buf '\n'
+  let line tag fields =
+    Json.to_string (Json.Obj (("type", Json.String tag) :: fields)) ^ "\n"
   in
-  List.iter (fun p -> tagged "point" (point_json p)) (points t);
-  List.iter (fun f -> tagged "alert" (firing_json f)) (firings t);
-  Buffer.contents buf
+  String.concat ""
+    (List.map (fun p -> line "point" (point_fields p)) (points t)
+    @ List.map (fun f -> line "alert" (firing_fields f)) (firings t))
 
 let pp fmt t =
   let pct v = if v < 0 then "-" else string_of_int v ^ "%" in

@@ -153,7 +153,11 @@ val view : t -> view
 (** The whole state as comparable data — what the recount property tests
     compare with [=] across live/fold/restore/recover. *)
 
-val to_json : t -> string
+val point_json : point -> Json.t
+(** One series point as a JSON object with every field of {!point}
+    (without the [p_] prefix); absent percents are [null]. *)
+
+val to_json : t -> Json.t
 (** One JSON object: config, totals, lifecycle quantiles, the series and
     the alerts — the payload behind [Engine.monitor_json] and
     [--monitor-out]. *)

@@ -194,41 +194,28 @@ let event_to_string e = Format.asprintf "%a" pp_event e
 
 (* The quality report: per-worker reliability plus the posterior state of
    every pending task — one JSON object, shared by `tweetpecker
-   --quality-out` and the REPL's `:quality`. Reuses Telemetry's escaper so
-   all three JSON surfaces (metrics, spans, quality) speak one dialect. *)
+   --quality-out` and the REPL's `:quality`. *)
 let quality_json engine =
-  let buf = Buffer.create 512 in
-  let esc s = Telemetry.json_escape s in
-  Buffer.add_string buf "{\"workers\":{";
-  List.iteri
-    (fun i (w, r, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"reliability\":%.6f,\"observations\":%d}" (esc w) r n))
-    (Engine.reliability_table engine);
-  Buffer.add_string buf "},\"tasks\":{";
-  List.iteri
-    (fun i (o : Engine.open_tuple) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%d\":{\"relation\":\"%s\",\"votes\":%d,\"uncertainty\":%.6f,\"posteriors\":{"
-           o.Engine.id (esc o.Engine.relation)
-           (Engine.votes_banked engine o.Engine.id)
-           (Engine.task_uncertainty engine o.Engine.id));
-      List.iteri
-        (fun j (attr, cands) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":[" (esc attr));
-          List.iteri
-            (fun k (v, p) ->
-              if k > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf
-                (Printf.sprintf "{\"value\":\"%s\",\"posterior\":%.6f}"
-                   (esc (Reldb.Value.to_display v)) p))
-            cands;
-          Buffer.add_char buf ']')
-        (Engine.task_posteriors engine o.Engine.id);
-      Buffer.add_string buf "}}")
-    (Engine.pending engine);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let candidate (v, p) =
+    Json.Obj
+      [ ("value", Json.String (Reldb.Value.to_display v)); ("posterior", Json.Float p) ]
+  in
+  let task (o : Engine.open_tuple) =
+    let id = o.Engine.id in
+    ( string_of_int id,
+      Json.Obj
+        [ ("relation", Json.String o.Engine.relation);
+          ("votes", Json.Int (Engine.votes_banked engine id));
+          ("uncertainty", Json.Float (Engine.task_uncertainty engine id));
+          ( "posteriors",
+            Json.Obj
+              (List.map
+                 (fun (attr, cands) -> (attr, Json.List (List.map candidate cands)))
+                 (Engine.task_posteriors engine id)) ) ] )
+  in
+  let worker (w, r, n) =
+    (w, Json.Obj [ ("reliability", Json.Float r); ("observations", Json.Int n) ])
+  in
+  Json.Obj
+    [ ("workers", Json.Obj (List.map worker (Engine.reliability_table engine)));
+      ("tasks", Json.Obj (List.map task (Engine.pending engine))) ]

@@ -39,11 +39,10 @@ val pp_event : Format.formatter -> Engine.event -> unit
 
 val event_to_string : Engine.event -> string
 
-val quality_json : Engine.t -> string
+val quality_json : Engine.t -> Json.t
 (** The engine's quality state as one JSON object:
     [{"workers": {w: {"reliability", "observations"}},
       "tasks": {id: {"relation", "votes", "uncertainty",
                      "posteriors": {attr: [{"value", "posterior"}]}}}}] —
     what [tweetpecker --quality-out] writes and the REPL's [:quality]
-    prints. Shares {!Telemetry.json_escape} with the metrics/span
-    printers. *)
+    prints. *)

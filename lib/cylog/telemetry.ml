@@ -4,22 +4,6 @@
    are sequence counters, so traces and registries are stable under
    journal replay. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 module Metrics = struct
   type histogram = {
     bounds : int array;
@@ -180,31 +164,17 @@ module Metrics = struct
         (histograms src)
 
   let to_json t =
-    let buf = Buffer.create 512 in
-    let obj_of pairs emit =
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape k));
-          emit v)
-        pairs;
-      Buffer.add_char buf '}'
+    let obj pairs json = Json.Obj (List.map (fun (k, v) -> (k, json v)) pairs) in
+    let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)) in
+    let hist h =
+      Json.Obj
+        [ ("bounds", ints h.bounds); ("counts", ints h.counts); ("sum", Json.Int h.sum);
+          ("count", Json.Int h.count) ]
     in
-    Buffer.add_string buf "{\"counters\":";
-    obj_of (counters t) (fun v -> Buffer.add_string buf (string_of_int v));
-    Buffer.add_string buf ",\"gauges\":";
-    obj_of (gauges t) (fun v -> Buffer.add_string buf (string_of_int v));
-    Buffer.add_string buf ",\"histograms\":";
-    obj_of (histograms t) (fun h ->
-        let ints a =
-          a |> Array.to_list |> List.map string_of_int |> String.concat ","
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "{\"bounds\":[%s],\"counts\":[%s],\"sum\":%d,\"count\":%d}"
-             (ints h.bounds) (ints h.counts) h.sum h.count));
-    Buffer.add_char buf '}';
-    Buffer.contents buf
+    Json.Obj
+      [ ("counters", obj (counters t) (fun v -> Json.Int v));
+        ("gauges", obj (gauges t) (fun v -> Json.Int v));
+        ("histograms", obj (histograms t) hist) ]
 
   let pp fmt t =
     let section title pairs emit =
@@ -234,22 +204,13 @@ type span = {
 }
 
 let span_to_json s =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"started\":%d,\"ended\":%d"
-       s.id s.parent (json_escape s.name) s.started s.ended);
-  if s.attrs <> [] then begin
-    Buffer.add_string buf ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      s.attrs;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let attrs = List.map (fun (k, v) -> (k, Json.String v)) s.attrs in
+  Json.to_string
+    (Json.Obj
+       ([ ("id", Json.Int s.id); ("parent", Json.Int s.parent);
+          ("name", Json.String s.name); ("started", Json.Int s.started);
+          ("ended", Json.Int s.ended) ]
+       @ if attrs = [] then [] else [ ("attrs", Json.Obj attrs) ]))
 
 module Sink = struct
   type kind =

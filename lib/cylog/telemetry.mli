@@ -96,8 +96,8 @@ module Metrics : sig
       registry is a no-op, and the single-registry write path is
       untouched. *)
 
-  val to_json : t -> string
-  (** The whole registry as one JSON object:
+  val to_json : t -> Json.t
+  (** The whole registry as one JSON object, names sorted:
       [{"counters": {...}, "gauges": {...}, "histograms": {...}}]. *)
 
   val pp : Format.formatter -> t -> unit
@@ -116,12 +116,8 @@ type span = {
 }
 
 val span_to_json : span -> string
-(** One span as a single JSON line (no trailing newline). *)
-
-val json_escape : string -> string
-(** The string escaper behind {!Metrics.to_json} and {!span_to_json},
-    exported so other JSON surfaces (e.g. the quality report) emit the
-    same dialect instead of growing a second printer. *)
+(** One span as a single compact JSON line (no trailing newline); [attrs]
+    is omitted when empty. *)
 
 module Sink : sig
   type t

@@ -1,17 +1,5 @@
 open Cylog
 
-(* Saturation cap for summed finite bounds — far above any real campaign,
-   small enough that repeated sums never overflow native ints. *)
-let cap = 1_000_000_000
-
-let card_add (a : Analysis.card) (b : Analysis.card) : Analysis.card =
-  match (a, b) with
-  | Unbounded r, _ -> Unbounded r
-  | _, Unbounded r -> Unbounded r
-  | Bounded_by_input, _ | _, Bounded_by_input -> Bounded_by_input
-  | Zero, c | c, Zero -> c
-  | Finite m, Finite n -> Finite (min cap (m + n))
-
 let percentile samples q =
   let n = Array.length samples in
   if n = 0 then 0.
@@ -154,12 +142,12 @@ let merge_certificates certs =
           c_total_tasks =
             List.fold_left
               (fun acc (c : Analysis.certificate) ->
-                card_add acc c.cert_total_tasks)
+                Analysis.card_add acc c.cert_total_tasks)
               Analysis.Zero certs;
           c_total_answers =
             List.fold_left
               (fun acc (c : Analysis.certificate) ->
-                card_add acc c.cert_total_answers)
+                Analysis.card_add acc c.cert_total_answers)
               Analysis.Zero certs;
         }
 
@@ -226,62 +214,38 @@ let gather ~total_shards inputs =
     certificate = merge_certificates (List.filter_map Engine.certificate engines);
   }
 
-let card_json (c : Analysis.card) =
-  match c with
-  | Zero -> {|{"kind":"zero"}|}
-  | Finite n -> Printf.sprintf {|{"kind":"finite","n":%d}|} n
-  | Bounded_by_input -> {|{"kind":"bounded-by-input"}|}
-  | Unbounded _ ->
-      Printf.sprintf {|{"kind":"unbounded","reason":"%s"}|}
-        (Telemetry.json_escape (Analysis.card_to_string c))
-
 let monitor_json (v : monitor_view) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"spent":%d,"answers":%d,"pending":%d,"retired":%d,"samples":%d,"agreement_pct":%d,"dead_letter_pct":%d,"points":[|}
-       v.f_spent v.f_answers v.f_pending v.f_retired v.f_samples
-       v.f_agreement_pct v.f_dead_letter_pct);
-  List.iteri
-    (fun i (p : Monitor.point) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|{"round":%d,"spent":%d,"answers":%d,"pending":%d,"e2e_p99":%.1f}|}
-           p.p_round p.p_spent p.p_answers p.p_pending p.p_e2e_p99))
-    v.f_points;
-  Buffer.add_string buf {|],"firings":[|};
-  List.iteri
-    (fun i (sid, (f : Monitor.firing)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|{"shard":%d,"round":%d,"alert":"%s"}|} sid f.at_round
-           (Telemetry.json_escape (Event.alert_to_string f.alert))))
-    v.f_firings;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let firing (sid, (f : Monitor.firing)) =
+    Json.Obj
+      [ ("shard", Json.Int sid); ("round", Json.Int f.at_round);
+        ("alert", Json.String (Event.alert_to_string f.alert)) ]
+  in
+  let pct = if v.f_agreement_pct < 0 then Json.Null else Json.Int v.f_agreement_pct in
+  Json.Obj
+    [ ("spent", Json.Int v.f_spent); ("answers", Json.Int v.f_answers);
+      ("pending", Json.Int v.f_pending); ("retired", Json.Int v.f_retired);
+      ("samples", Json.Int v.f_samples);
+      ("agreement_pct", pct); ("dead_letter_pct", Json.Int v.f_dead_letter_pct);
+      ("points", Json.List (List.map Monitor.point_json v.f_points));
+      ("firings", Json.List (List.map firing v.f_firings)) ]
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"shards":%d,"live_shards":%d,"requests":%d,"pending":%d,"latency_ns":{"p50":%.0f,"p95":%.0f,"p99":%.0f},"monitor":|}
-       t.shards t.live_shards t.requests t.pending t.p50_ns t.p95_ns t.p99_ns);
-  (match t.monitor with
-  | None -> Buffer.add_string buf "null"
-  | Some v -> Buffer.add_string buf (monitor_json v));
-  Buffer.add_string buf {|,"certificate":|};
-  (match t.certificate with
-  | None -> Buffer.add_string buf "null"
-  | Some c ->
-      Buffer.add_string buf
-        (Printf.sprintf {|{"shards":%d,"total_tasks":%s,"total_answers":%s}|}
-           c.c_shards (card_json c.c_total_tasks)
-           (card_json c.c_total_answers)));
-  Buffer.add_string buf {|,"metrics":|};
-  Buffer.add_string buf (Telemetry.Metrics.to_json t.metrics);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let ns x = Json.Int (Float.to_int (Float.round x)) (* whole nanoseconds *) in
+  let option json = function None -> Json.Null | Some v -> json v in
+  let certificate c =
+    Json.Obj
+      [ ("shards", Json.Int c.c_shards);
+        ("total_tasks", Analysis.card_json c.c_total_tasks);
+        ("total_answers", Analysis.card_json c.c_total_answers) ]
+  in
+  Json.Obj
+    [ ("shards", Json.Int t.shards); ("live_shards", Json.Int t.live_shards);
+      ("requests", Json.Int t.requests); ("pending", Json.Int t.pending);
+      ("latency_ns",
+       Json.Obj [ ("p50", ns t.p50_ns); ("p95", ns t.p95_ns); ("p99", ns t.p99_ns) ]);
+      ("monitor", option monitor_json t.monitor);
+      ("certificate", option certificate t.certificate);
+      ("metrics", Telemetry.Metrics.to_json t.metrics) ]
 
 let pp fmt t =
   Format.fprintf fmt "fleet: %d/%d shards live, %d requests, %d pending@."

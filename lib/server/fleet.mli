@@ -24,11 +24,6 @@
 
 open Cylog
 
-val card_add : Analysis.card -> Analysis.card -> Analysis.card
-(** Saturating addition on the analysis domain: [Finite] sums cap at
-    10^9; [Zero] is neutral; [Bounded_by_input] absorbs finite summands;
-    [Unbounded r] absorbs everything (left reason wins). *)
-
 val percentile : int array -> float -> float
 (** Exact order statistic (nearest-rank with linear interpolation) of raw
     samples; [0.] on an empty array. Sorts a copy — the input is not
@@ -85,9 +80,12 @@ type t = {
 val gather : total_shards:int -> shard_input list -> t
 (** One fleet view over the given shards' current state. *)
 
-val to_json : t -> string
-(** The fleet view as one deterministic JSON object ([shards], [pending],
-    [latency_ns], [monitor], [certificate], [metrics]). *)
+val to_json : t -> Json.t
+(** The fleet view as one JSON object ([shards], [live_shards],
+    [requests], [pending], [latency_ns] in whole nanoseconds, [monitor]
+    with {!Cylog.Monitor.point_json} points, [certificate] with
+    {!Cylog.Analysis.card_json} bounds, [metrics]); absent values, such
+    as the agreement of a fleet with no votes, are [null]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable fleet dashboard — what [tweetpecker serve] prints. *)

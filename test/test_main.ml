@@ -6,4 +6,4 @@ let () =
    @ Test_tweetpecker.suite @ Test_turing.suite @ Test_quality.suite
    @ Test_differential.suite @ Test_robustness.suite @ Test_telemetry.suite
    @ Test_durability.suite @ Test_monitor.suite @ Test_analysis.suite
-   @ Test_server.suite)
+   @ Test_server.suite @ Test_json.suite)
