@@ -1697,6 +1697,31 @@ let run_telemetry_smoke () =
      recount agrees@."
     (List.length mandatory_metric_keys)
 
+(* Minor words a run allocates. The runs below are seeded and single-
+   threaded, so the count repeats exactly and, unlike their 1–8 ms wall
+   times, an on/off ratio of it can fail on a real regression. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Allocation bounds of the telemetry-overhead gate, as on/off ratios of
+   minor words. When they were set (at commit edaba29) the joins run at
+   scale 10 allocated 435,666 words with metrics on vs 427,129 off
+   (x1.0200), and the seed-7 monitor campaign 170,028 with the monitor on
+   vs 160,881 off (x1.0569). *)
+let metrics_alloc_bound = 1.03
+let monitor_alloc_bound = 1.07
+
+let alloc_gate what ~bound ~on ~off =
+  let ratio = on /. Float.max 1.0 off in
+  Format.printf "  %s minor words on: %.0f   off: %.0f   x%.4f@." what on off ratio;
+  if ratio > bound then begin
+    Format.printf "  FAIL: %s allocates more than x%.2f@." what bound;
+    exit 1
+  end;
+  Format.printf "  ok: %s allocation within x%.2f@." what bound
+
 let run_telemetry_overhead () =
   section "Telemetry overhead: joins with the metrics registry on vs off (null sink)";
   (* Wall-clock assertions flake; take best-of-3 and accept either the
@@ -1718,6 +1743,9 @@ let run_telemetry_overhead () =
     exit 1
   end;
   Format.printf "  ok: overhead within tolerance (<=2%% or <=0.05s)@.";
+  alloc_gate "metrics" ~bound:metrics_alloc_bound
+    ~on:(minor_words (fun () -> joins_run ~scale:10 ~use_delta:true ()))
+    ~off:(minor_words (fun () -> joins_run ~metrics:false ~scale:10 ~use_delta:true ()));
   (* Monitor sampling rides the same budget: the identical seeded faulted
      campaign with and without the monitor installed, null sink. *)
   let best_campaign monitored =
@@ -1740,7 +1768,10 @@ let run_telemetry_overhead () =
     Format.printf "  FAIL: monitor sampling overhead above 2%% (and 0.05s)@.";
     exit 1
   end;
-  Format.printf "  ok: monitor sampling within tolerance (<=2%% or <=0.05s)@."
+  Format.printf "  ok: monitor sampling within tolerance (<=2%% or <=0.05s)@.";
+  alloc_gate "monitor" ~bound:monitor_alloc_bound
+    ~on:(minor_words (fun () -> monitor_campaign ~monitored:true ~seed:7 ~items:20 ()))
+    ~off:(minor_words (fun () -> monitor_campaign ~monitored:false ~seed:7 ~items:20 ()))
 
 (* The monitor regression gate, wired into [dune runtest] via the
    [monitor-smoke] alias: the budget-capped faulted campaign must fire
@@ -1796,148 +1827,6 @@ let run_monitor_smoke () =
 (* ------------------------------------------------------------------ *)
 (* Serve: the sharded multi-campaign server                            *)
 (* ------------------------------------------------------------------ *)
-
-(* One fleet run: generated labeling campaigns partitioned over [shards]
-   engine shards, driven to completion by the simulated crowd through the
-   server's task-queue API. Ops are the calls the server made into its
-   shards (leases, answers, reclaims, samples); latency percentiles are
-   exact order statistics over the per-call service times. *)
-type serve_run = {
-  sv_shards : int;
-  sv_campaigns : int;
-  sv_items : int;
-  sv_workers : int;
-  sv_journaled : bool;
-  sv_ops : int;
-  sv_elapsed : float;
-  sv_ops_per_s : float;
-  sv_p50_ns : float;
-  sv_p95_ns : float;
-  sv_p99_ns : float;
-  sv_answers : int;
-  sv_resolved : int;
-  sv_stopped : bool;
-}
-
-let serve_run ?journal ~shards ~campaigns ~items ~workers () =
-  let server =
-    match journal with
-    | None -> Server.create ~shards ()
-    | Some config ->
-        (* fault-free in-memory storage per shard: the journal write path
-           runs in full (CRC, rotation, compaction) without disk noise *)
-        let sims = Array.init shards (fun _ -> Cylog.Storage.Sim.create ()) in
-        Server.create ~journal_root:"serve-journal" ~journal_config:config
-          ~storage:(fun i -> Cylog.Storage.Sim.storage sims.(i))
-          ~shards ()
-  in
-  let config =
-    {
-      Crowd.Fleet_sim.default_config with
-      campaigns;
-      items;
-      workers;
-      max_rounds = 2000;
-    }
-  in
-  Crowd.Fleet_sim.open_campaigns server config;
-  let t0 = Unix.gettimeofday () in
-  let o = Crowd.Fleet_sim.run ~config server in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let view = Server.stats server in
-  let ops = view.Server.Fleet.requests in
-  {
-    sv_shards = shards;
-    sv_campaigns = campaigns;
-    sv_items = items;
-    sv_workers = workers;
-    sv_journaled = journal <> None;
-    sv_ops = ops;
-    sv_elapsed = elapsed;
-    sv_ops_per_s = (if elapsed > 0. then float_of_int ops /. elapsed else 0.);
-    sv_p50_ns = view.Server.Fleet.p50_ns;
-    sv_p95_ns = view.Server.Fleet.p95_ns;
-    sv_p99_ns = view.Server.Fleet.p99_ns;
-    sv_answers = o.answers;
-    sv_resolved = o.resolved;
-    sv_stopped = o.stop_reason = `Done;
-  }
-
-let pp_serve_run r =
-  Format.printf
-    "  %d shard(s)%s: %d ops in %.3fs = %9.0f ops/s   p50 %.0fns p95 %.0fns \
-     p99 %.0fns   (%d answers, %d resolved)@."
-    r.sv_shards
-    (if r.sv_journaled then " journaled" else "")
-    r.sv_ops r.sv_elapsed r.sv_ops_per_s r.sv_p50_ns r.sv_p95_ns r.sv_p99_ns
-    r.sv_answers r.sv_resolved
-
-let serve_json runs =
-  let run r =
-    J.Obj
-      [ ("shards", J.Int r.sv_shards); ("campaigns", J.Int r.sv_campaigns);
-        ("items", J.Int r.sv_items); ("workers", J.Int r.sv_workers);
-        ("journaled", J.Bool r.sv_journaled); ("ops", J.Int r.sv_ops);
-        ("elapsed_s", J.Float r.sv_elapsed); ("ops_per_s", J.Float r.sv_ops_per_s);
-        ("latency_ns",
-         J.Obj
-           [ ("p50", J.Float r.sv_p50_ns); ("p95", J.Float r.sv_p95_ns);
-             ("p99", J.Float r.sv_p99_ns) ]);
-        ("answers", J.Int r.sv_answers); ("resolved", J.Int r.sv_resolved);
-        ("completed", J.Bool r.sv_stopped) ]
-  in
-  J.Obj [ ("serve", J.List (List.map run runs)) ]
-
-(* Regression gates for both the full bench and the smoke: every run
-   completes with the exact quorum arithmetic (items × campaigns tasks,
-   ×3 votes), and the 8-shard fleet sustains the target throughput. *)
-let serve_check runs =
-  let failures = ref [] in
-  let note fmt = Format.kasprintf (fun s -> failures := !failures @ [ s ]) fmt in
-  List.iter
-    (fun r ->
-      let tasks = r.sv_campaigns * r.sv_items in
-      if not r.sv_stopped then
-        note "%d-shard run did not complete its campaigns" r.sv_shards;
-      if r.sv_resolved <> tasks then
-        note "%d-shard run resolved %d tasks, expected %d" r.sv_shards
-          r.sv_resolved tasks;
-      if r.sv_answers <> tasks * 3 then
-        note "%d-shard run accepted %d answers, expected %d" r.sv_shards
-          r.sv_answers (tasks * 3))
-    runs;
-  (match
-     List.find_opt (fun r -> r.sv_shards >= 8 && not r.sv_journaled) runs
-   with
-  | Some r when r.sv_ops_per_s < 1e4 ->
-      note "8-shard fleet at %.0f ops/s, below the 10^4 floor" r.sv_ops_per_s
-  | _ -> ());
-  !failures
-
-let run_serve () =
-  section "Serve: fleet throughput vs shard count (in-memory engines)";
-  let scaling =
-    List.map
-      (fun shards ->
-        serve_run ~shards ~campaigns:4 ~items:120 ~workers:24 ())
-      [ 1; 2; 4; 8 ]
-  in
-  List.iter pp_serve_run scaling;
-  section "Serve: durable fleet (segmented WAL per slot, batched fsync)";
-  let durable =
-    serve_run
-      ~journal:
-        {
-          Cylog.Journal.default_config with
-          fsync = Cylog.Journal.Every_n 8;
-          compact_every = Some 256;
-        }
-      ~shards:8 ~campaigns:4 ~items:120 ~workers:24 ()
-  in
-  pp_serve_run durable;
-  let runs = scaling @ [ durable ] in
-  write_artifact "BENCH_serve.json" (serve_json runs);
-  List.iter (fun what -> Format.printf "  NOTE: %s@." what) (serve_check runs)
 
 (* The serve regression gate, wired into [dune runtest] via the
    [serve-smoke] alias: a small fixed-seed fleet on in-memory storage
@@ -2070,7 +1959,7 @@ let experiments =
     ("telemetry-overhead", run_telemetry_overhead);
     ("durability", run_durability); ("durability-smoke", run_durability_smoke);
     ("monitor", run_monitor); ("monitor-smoke", run_monitor_smoke);
-    ("serve", run_serve); ("serve-smoke", run_serve_smoke);
+    ("serve-smoke", run_serve_smoke);
     ("bench", run_bench) ]
 
 let () =

@@ -116,13 +116,12 @@ let install_quorum ?policy ?quorum engine =
         (Some { Cylog.Engine.k; relations = None; aggregate = majority_aggregate })
   | None, None -> ()
 
-(* Round-boundary monitor sampling, shared by both campaign loops: take
-   the sample (a journaled event — the series point and any watchdog
-   verdicts ride in the event log), then apply the caller's reaction to
-   each alert that fired. Returns the firing that should stop the
-   campaign, if any; [`Pause] sets [pause_next] so the next round skips
-   the worker turns (a cooldown round — the machine and lease reclaim
-   still run). *)
+(* Round-boundary monitor sampling: take the sample (a journaled event —
+   the series point and any watchdog verdicts ride in the event log),
+   then apply the caller's reaction to each alert that fired. Returns the
+   firing that should stop the campaign, if any; [`Pause] sets
+   [pause_next] so the next round skips the worker turns (a cooldown
+   round — the machine and lease reclaim still run). *)
 let sample_monitor ~on_alert ~pause_next engine n =
   if Cylog.Engine.monitor engine = None then None
   else begin
@@ -167,19 +166,6 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?q
     | _, `Capped -> incr capped
     | _, `Quiescent -> ()
   in
-  let record round worker kind relation values p =
-    log :=
-      {
-        round;
-        clock = Cylog.Engine.clock engine;
-        worker;
-        kind;
-        relation;
-        values;
-        progress = p;
-      }
-      :: !log
-  in
   (* The campaign span roots the simulator side of the trace hierarchy
      (campaign > round > rule > atom-match); task spans stay siblings of
      rounds because tasks outlive the round that created them. *)
@@ -196,16 +182,43 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?q
      then. *)
   let idle_rounds = ref 0 in
   let rounds_done = ref 0 in
-  (* With the lease runtime on, an answer needs a live lease first; a
-     refused lease is a rejected attempt like any other. *)
-  let take_lease n worker id =
-    if not leased then true
-    else
+  let acted = ref false in
+  (* One answer attempt. With the lease runtime on, an answer needs a
+     live lease first; a refused lease is a rejected attempt like any
+     other. [values] reads the logged bindings off the task as it stood
+     before the answer; [submit] makes the engine call. *)
+  let attempt n worker p id kind values submit =
+    let granted =
+      (not leased)
+      ||
       match Cylog.Engine.assign engine id ~worker ~now:n with
       | Ok _ -> true
       | Error _ ->
           reject worker;
           false
+    in
+    if granted then begin
+      Stats.routed stats worker;
+      let before = Cylog.Engine.find_open engine id in
+      match submit () with
+      | Ok ev ->
+          acted := true;
+          Stats.answered stats worker ~open_id:id ev;
+          log :=
+            {
+              round = n;
+              clock = Cylog.Engine.clock engine;
+              worker;
+              kind;
+              relation =
+                (match before with Some o -> o.Cylog.Engine.relation | None -> "");
+              values = values before;
+              progress = p;
+            }
+            :: !log;
+          machine ()
+      | Error _ -> reject worker
+    end
   in
   let rec rounds n =
     if n > max_rounds then `Max_rounds
@@ -218,7 +231,7 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?q
           ~clock:(Cylog.Engine.clock engine)
       in
       if leased then ignore (Cylog.Engine.reclaim engine ~now:n);
-      let acted = ref false in
+      acted := false;
       let paused = !pause_next in
       pause_next := false;
       if not paused then
@@ -229,42 +242,15 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?q
             match policy engine ~worker ~rng ~round:n with
             | Pass -> ()
             | Answer (id, values, kind) ->
-                if take_lease n worker id then begin
-                  Stats.routed stats worker;
-                  let relation =
-                    match Cylog.Engine.find_open engine id with
-                    | Some o -> o.Cylog.Engine.relation
-                    | None -> ""
-                  in
-                  match Cylog.Engine.supply engine id ~worker values with
-                  | Ok ev ->
-                      acted := true;
-                      Stats.answered stats worker ~open_id:id ev;
-                      record n worker kind relation values p;
-                      machine ()
-                  | Error _ -> reject worker
-                end
+                attempt n worker p id kind (fun _ -> values) (fun () ->
+                    Cylog.Engine.supply engine id ~worker values)
             | Answer_existence (id, yes) ->
-                if take_lease n worker id then begin
-                  Stats.routed stats worker;
-                  let before = Cylog.Engine.find_open engine id in
-                  match Cylog.Engine.answer_existence engine id ~worker yes with
-                  | Ok ev ->
-                      acted := true;
-                      Stats.answered stats worker ~open_id:id ev;
-                      let relation, values =
-                        match before with
-                        | Some o ->
-                            ( o.Cylog.Engine.relation,
-                              Reldb.Tuple.to_list o.Cylog.Engine.bound )
-                        | None -> ("", [])
-                      in
-                      record n worker
-                        (if yes then Select_value else Reject_value)
-                        relation values p;
-                      machine ()
-                  | Error _ -> reject worker
-                end
+                attempt n worker p id
+                  (if yes then Select_value else Reject_value)
+                  (function
+                    | Some o -> Reldb.Tuple.to_list o.Cylog.Engine.bound
+                    | None -> [])
+                  (fun () -> Cylog.Engine.answer_existence engine id ~worker yes)
           end)
         (shuffle rng workers);
       let alert_stop = sample_monitor ~on_alert ~pause_next engine n in
@@ -315,170 +301,47 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?q
 
 (* --- Router-driven campaigns ------------------------------------------------ *)
 
-(* The quality-aware assignment loop: instead of each policy choosing its
-   own task, {!Quality.Router} answers every worker's ask-for-work — no
-   task for workers under the reliability floor, otherwise the pending
-   task with the highest posterior uncertainty the worker has not yet
-   voted on (uncertainty sampling). Workers answer value questions from a
-   caller-supplied ground truth with their profile accuracy: a correct
-   answer with probability [accuracy], else one of two item-specific wrong
-   labels — the synthetic crowd of the quality bench and tests.
-   Existence questions are out of scope and are never routed. *)
-let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?quorum ?policy
-    ?monitor ?(on_alert = fun _ -> `Stop)
-    ?(router = Quality.Router.default_config) ~truth ~workers engine =
-  (match lease with
-  | Some _ -> Cylog.Engine.set_lease_config engine lease
-  | None -> ());
-  install_quorum ?policy ?quorum engine;
-  (match monitor with
-  | Some _ -> Cylog.Engine.set_monitor engine monitor
-  | None -> ());
-  let pause_next = ref false in
-  let leased = lease <> None in
-  let rng = Random.State.make [| seed |] in
-  let tel = Cylog.Engine.telemetry engine in
-  let mets = Cylog.Engine.metrics engine in
-  let stats = Stats.create () in
-  let log = ref [] in
-  let rejected : (Reldb.Value.t, int) Hashtbl.t = Hashtbl.create 8 in
-  let reject worker =
-    Cylog.Telemetry.Metrics.incr mets
-      ("sim.rejected.worker." ^ Reldb.Value.to_display worker);
-    Hashtbl.replace rejected worker
-      (1 + Option.value (Hashtbl.find_opt rejected worker) ~default:0)
-  in
-  let capped = ref 0 in
-  let machine () =
-    match Cylog.Engine.run engine with
-    | _, `Capped -> incr capped
-    | _, `Quiescent -> ()
-  in
-  let routable () =
-    List.filter
-      (fun (o : Cylog.Engine.open_tuple) -> not o.existence)
+(* Value questions only: existence questions are never routed. *)
+let routable (o : Cylog.Engine.open_tuple) = not o.existence
+
+(* The quality-aware assignment policy: instead of choosing its own task,
+   the worker asks {!Quality.Router} — no task under the reliability
+   floor, otherwise the routable task with the highest posterior
+   uncertainty the worker has not yet voted on and that is not designated
+   for someone else (uncertainty sampling) — and answers it with
+   {!Worker.noisy_label} against the caller's ground truth. *)
+let router_policy ~truth (profile : Worker.profile) engine ~worker ~rng ~round:_ =
+  let reliability = Cylog.Engine.worker_reliability engine worker in
+  let tasks =
+    List.filter_map
+      (fun (o : Cylog.Engine.open_tuple) ->
+        if
+          (not (routable o))
+          || Cylog.Engine.has_voted engine o.id ~worker
+          || (match o.asked with
+             | Some w -> not (Reldb.Value.equal w worker)
+             | None -> false)
+        then None
+        else Some (o, Cylog.Engine.task_uncertainty engine o.id))
       (Cylog.Engine.pending engine)
   in
-  let answer_for (profile : Worker.profile) (o : Cylog.Engine.open_tuple) =
-    List.map
-      (fun attr ->
-        let correct =
-          match List.assoc_opt attr (truth o) with
-          | Some v -> v
-          | None -> Reldb.Value.String "?"
-        in
-        if Random.State.float rng 1.0 < profile.Worker.accuracy then (attr, correct)
-        else
-          (* Two wrong alternatives per slot, so sloppy crowds can still
-             pile up on a wrong plurality now and then. *)
-          ( attr,
-            Reldb.Value.String
-              (Printf.sprintf "%s#%d"
-                 (Reldb.Value.to_display correct)
-                 (1 + Random.State.int rng 2)) ))
-      o.open_attrs
-  in
-  let campaign =
-    Cylog.Telemetry.enter tel "campaign"
-      ~attrs:
-        [ ("seed", string_of_int seed);
-          ("workers", string_of_int (List.length workers));
-          ("router", "on") ]
-      ~clock:(Cylog.Engine.clock engine)
-  in
-  machine ();
-  let idle_rounds = ref 0 in
-  let rounds_done = ref 0 in
-  let rec rounds n =
-    if n > max_rounds then `Max_rounds
-    else if routable () = [] then `Stopped
-    else begin
-      rounds_done := n;
-      if leased then ignore (Cylog.Engine.reclaim engine ~now:n);
-      let acted = ref false in
-      let paused = !pause_next in
-      pause_next := false;
-      if not paused then
-      List.iter
-        (fun ((worker : Reldb.Value.t), profile) ->
-          let reliability = Cylog.Engine.worker_reliability engine worker in
-          let tasks =
-            List.filter_map
-              (fun (o : Cylog.Engine.open_tuple) ->
-                if
-                  Cylog.Engine.has_voted engine o.id ~worker
-                  || (match o.asked with
-                     | Some w -> not (Reldb.Value.equal w worker)
-                     | None -> false)
-                then None
-                else Some (o, Cylog.Engine.task_uncertainty engine o.id))
-              (routable ())
-          in
-          match Quality.Router.route router ~reliability ~tasks with
-          | None -> ()
-          | Some o ->
-              let granted =
-                (not leased)
-                ||
-                match Cylog.Engine.assign engine o.id ~worker ~now:n with
-                | Ok _ -> true
-                | Error _ ->
-                    reject worker;
-                    false
-              in
-              if granted then begin
-                Stats.routed stats worker;
-                let values = answer_for profile o in
-                match Cylog.Engine.supply engine o.id ~worker values with
-                | Ok ev ->
-                    acted := true;
-                    Stats.answered stats worker ~open_id:o.id ev;
-                    log :=
-                      {
-                        round = n;
-                        clock = Cylog.Engine.clock engine;
-                        worker;
-                        kind = Enter_value;
-                        relation = o.relation;
-                        values;
-                        progress = 0.0;
-                      }
-                      :: !log;
-                    machine ()
-                | Error _ -> reject worker
-              end)
-        (shuffle rng workers);
-      let alert_stop = sample_monitor ~on_alert ~pause_next engine n in
-      if !acted then idle_rounds := 0 else incr idle_rounds;
-      if routable () = [] then `Stopped
-      else
-        match alert_stop with
-        | Some f -> `Alert f
-        | None -> if !idle_rounds >= 5 then `Stalled else rounds (n + 1)
-    end
-  in
-  let stop_reason = rounds 1 in
-  Cylog.Telemetry.Metrics.set_gauge mets "sim.rounds" !rounds_done;
-  Cylog.Telemetry.Metrics.set_gauge mets "sim.capped_runs" !capped;
-  Cylog.Telemetry.exit tel campaign
-    ~attrs:
-      [ ( "stop",
-          match stop_reason with
-          | `Stopped -> "stopped"
-          | `Stalled -> "stalled"
-          | `Max_rounds -> "max-rounds"
-          | `Alert _ -> "alert" ) ]
-    ~clock:(Cylog.Engine.clock engine);
-  let rejections =
-    Hashtbl.fold (fun w n acc -> (w, n) :: acc) rejected []
-    |> List.sort (fun (a, _) (b, _) -> Reldb.Value.compare a b)
-  in
-  {
-    log = List.rev !log;
-    rounds = !rounds_done;
-    stop_reason;
-    rejections;
-    capped_runs = !capped;
-    dead_letters = Cylog.Engine.dead_letters engine;
-    worker_stats = Stats.report stats;
-  }
+  match Quality.Router.route Quality.Router.default_config ~reliability ~tasks with
+  | None -> Pass
+  | Some o ->
+      let values =
+        List.map
+          (fun attr ->
+            let correct =
+              Option.value (List.assoc_opt attr (truth o))
+                ~default:(Reldb.Value.String "?")
+            in
+            (attr, Worker.noisy_label rng ~accuracy:profile.accuracy correct))
+          o.open_attrs
+      in
+      Answer (o.id, values, Enter_value)
+
+let run_routed ?seed ?quorum ?policy ~truth ~workers engine =
+  run ?seed ?quorum ?policy
+    ~stop:(fun e -> not (List.exists routable (Cylog.Engine.pending e)))
+    ~workers:(List.map (fun (w, profile) -> (w, router_policy ~truth profile)) workers)
+    engine

@@ -112,27 +112,27 @@ val run :
     reclaim and the machine still run but no worker takes a turn;
     [`Warn] carries on (the firing is already journaled and counted). *)
 
+val shuffle : Random.State.t -> 'a list -> 'a list
+(** Fisher–Yates shuffle: one [Random.State.int] draw per position from
+    the last down to the second. The worker order of every round of
+    {!run}, and of {!Fleet_sim.run}. *)
+
 val run_routed :
-  ?seed:int -> ?max_rounds:int ->
-  ?lease:Cylog.Lease.config -> ?quorum:int ->
-  ?policy:Cylog.Engine.quorum_policy ->
-  ?monitor:Cylog.Monitor.config ->
-  ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
-  ?router:Quality.Router.config ->
+  ?seed:int -> ?quorum:int -> ?policy:Cylog.Engine.quorum_policy ->
   truth:(Cylog.Engine.open_tuple -> (string * Reldb.Value.t) list) ->
   workers:(Reldb.Value.t * Worker.profile) list ->
   Cylog.Engine.t -> outcome
-(** Quality-aware campaign: assignment is driven by {!Quality.Router}
-    instead of per-worker policies. Each round every worker (in seeded
-    random order) asks the router for work; workers under the reliability
-    floor get none, the rest get the pending value question with the
-    highest {!Cylog.Engine.task_uncertainty} that they have not voted on
-    and that is not designated for someone else. The worker answers
-    [truth o] for each open attribute with probability
-    [profile.accuracy], otherwise one of two item-specific wrong labels —
+(** Quality-aware campaign: {!run} with every worker playing the router
+    policy instead of choosing their own task. On their turn a worker
+    asks {!Quality.Router.route} (default config) for work; workers under
+    the reliability floor get none and pass, the rest get the pending
+    value question with the highest {!Cylog.Engine.task_uncertainty} that
+    they have not voted on and that is not designated for someone else,
+    and answer each open attribute with
+    [Worker.noisy_label ~accuracy:profile.accuracy] of [truth o] — the
     {!Worker.profile} accuracies double as the campaign's ground truth.
-    Existence questions are never routed. Stops when no value questions
-    remain pending ([`Stopped]), after five consecutive idle rounds
-    ([`Stalled] — e.g. every worker is below the floor), or at
-    [max_rounds]. [lease]/[quorum]/[policy]/[monitor]/[on_alert] behave
-    as in {!run}. *)
+    Existence questions are never routed. The stop condition is "no value
+    question is pending" ([`Stopped]); a campaign whose workers all sit
+    below the floor ends [`Stalled]. [seed]/[quorum]/[policy] are
+    {!run}'s; there is no lease runtime and no monitor option, and rounds
+    are bounded by {!run}'s default. *)

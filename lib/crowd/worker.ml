@@ -36,3 +36,9 @@ let sloppy name =
   }
 
 let crowd make n = List.init n (fun i -> make (Printf.sprintf "w%d" (i + 1)))
+
+let noisy_label rng ~accuracy truth =
+  if Random.State.float rng 1.0 < accuracy then truth
+  else
+    Reldb.Value.String
+      (Printf.sprintf "%s#%d" (Reldb.Value.to_display truth) (1 + Random.State.int rng 2))

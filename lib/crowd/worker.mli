@@ -43,3 +43,11 @@ val sloppy : string -> profile
 
 val crowd : (string -> profile) -> int -> profile list
 (** [crowd make n] builds [n] workers named [w1..wn]. *)
+
+val noisy_label : Random.State.t -> accuracy:float -> Reldb.Value.t -> Reldb.Value.t
+(** [noisy_label rng ~accuracy truth] is the synthetic crowd's answer to
+    a label question: [truth] with probability [accuracy], else
+    ["<truth>#1"] or ["<truth>#2"] ([truth] as {!Reldb.Value.to_display}
+    renders it) — two item-specific wrong labels, so a sloppy crowd can
+    still pile up on a wrong plurality now and then. One uniform draw,
+    plus one more on a wrong answer. *)

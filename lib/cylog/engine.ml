@@ -2402,18 +2402,6 @@ let snapshot_error r = raise (Snapshot_error r)
 let snapshot_family = "CYLOG-SNAPSHOT/"
 let snapshot_magic = snapshot_family ^ "3\n"
 
-let put_u32le b n =
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff))
-
-let get_u32le s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
 type snapshot_payload = {
   snap_use_delta : bool;
   snap_program : Ast.program;
@@ -2433,8 +2421,8 @@ let snapshot_string t =
   let payload = snapshot_payload_string t in
   let buf = Buffer.create (String.length payload + 32) in
   Buffer.add_string buf snapshot_magic;
-  put_u32le buf (String.length payload);
-  put_u32le buf (Int32.to_int (Storage.crc32 payload) land 0xFFFFFFFF);
+  Storage.put_u32le buf (String.length payload);
+  Storage.put_u32le buf (Storage.crc_u32 (Storage.crc32 payload));
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -2510,12 +2498,12 @@ let payload_of_frame s =
     | None -> snapshot_error Not_a_snapshot
   else if len < n + 8 then snapshot_error Truncated
   else
-    let plen = get_u32le s n in
-    let crc = get_u32le s (n + 4) in
+    let plen = Storage.get_u32le s n in
+    let crc = Storage.get_u32le s (n + 4) in
     if len < n + 8 + plen then snapshot_error Truncated
     else
       let payload = String.sub s (n + 8) plen in
-      if Int32.to_int (Storage.crc32 payload) land 0xFFFFFFFF <> crc then
+      if Storage.crc_u32 (Storage.crc32 payload) <> crc then
         snapshot_error Checksum_mismatch
       else payload
 

@@ -42,30 +42,16 @@ let magic = "CYLOG-WAL/1\n"
 let header_len = 16
 let record_version = 1
 
-let put_u32le b n =
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff))
-
-let get_u32le s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-let crc_int c = Int32.to_int c land 0xFFFFFFFF
-
 let segment_header index =
   let b = Buffer.create header_len in
   Buffer.add_string b magic;
-  put_u32le b index;
+  Storage.put_u32le b index;
   Buffer.contents b
 
 let header_valid contents index =
   String.length contents >= header_len
   && String.sub contents 0 (String.length magic) = magic
-  && get_u32le contents 12 = index
+  && Storage.get_u32le contents 12 = index
 
 let kind_byte = function Genesis -> 0 | Entry -> 1 | Snapshot -> 2
 
@@ -77,8 +63,8 @@ let encode kind payload =
   Bytes.blit_string payload 0 body 2 plen;
   let body = Bytes.unsafe_to_string body in
   let b = Buffer.create (8 + 2 + plen) in
-  put_u32le b (2 + plen);
-  put_u32le b (crc_int (Storage.crc32 body));
+  Storage.put_u32le b (2 + plen);
+  Storage.put_u32le b (Storage.crc_u32 (Storage.crc32 body));
   Buffer.add_string b body;
   Buffer.contents b
 
@@ -105,14 +91,16 @@ let parse_record contents pos =
   else if len - pos < 8 then
     Run_end (Torn { offset = pos; reason = "incomplete record frame" })
   else
-    let rlen = get_u32le contents pos in
+    let rlen = Storage.get_u32le contents pos in
     if rlen < 2 then
       Run_end (Torn { offset = pos; reason = "impossible record length" })
     else if pos + 8 + rlen > len then
       Run_end (Torn { offset = pos; reason = "record extends past end of segment" })
     else
-      let stored = get_u32le contents (pos + 4) in
-      let actual = crc_int (Storage.crc32_sub contents ~pos:(pos + 8) ~len:rlen) in
+      let stored = Storage.get_u32le contents (pos + 4) in
+      let actual =
+        Storage.crc_u32 (Storage.crc32_sub contents ~pos:(pos + 8) ~len:rlen)
+      in
       if stored <> actual then
         Run_end (Torn { offset = pos; reason = "checksum mismatch" })
       else

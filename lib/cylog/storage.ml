@@ -40,6 +40,19 @@ let crc32_sub s ~pos ~len =
   Int32.logxor !c 0xFFFFFFFFl
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
+let crc_u32 c = Int32.to_int c land 0xFFFFFFFF
+
+let put_u32le b n =
+  Buffer.add_char b (Char.chr (n land 0xff));
+  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
+  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
+  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff))
+
+let get_u32le s pos =
+  Char.code s.[pos]
+  lor (Char.code s.[pos + 1] lsl 8)
+  lor (Char.code s.[pos + 2] lsl 16)
+  lor (Char.code s.[pos + 3] lsl 24)
 
 (* --- POSIX files ------------------------------------------------------------ *)
 

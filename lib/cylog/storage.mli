@@ -75,6 +75,17 @@ val crc32 : string -> int32
 val crc32_sub : string -> pos:int -> len:int -> int32
 (** CRC-32 over a slice, avoiding the copy. *)
 
+val crc_u32 : int32 -> int
+(** A CRC as the unsigned 32-bit integer the framing stores. *)
+
+val put_u32le : Buffer.t -> int -> unit
+(** Append the low 32 bits of an integer, little-endian — the length and
+    checksum fields of journal records, segment headers and snapshot
+    files. *)
+
+val get_u32le : string -> int -> int
+(** [get_u32le s pos] reads the little-endian u32 at [pos]. *)
+
 module Posix : S
 (** Real files via [Unix]: append-mode descriptors cached per path,
     [Unix.fsync] for durability, [Sys.rename] for atomic replace. *)

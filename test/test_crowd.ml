@@ -133,6 +133,63 @@ let test_simulator_deterministic () =
   in
   Alcotest.(check bool) "same seed, same log" true (run () = run ())
 
+(* A seeded router-driven campaign: twelve label items, four diligent
+   workers and one sloppy one, the adaptive quorum at tau 0.9, seed 7. *)
+let routed_campaign ?sink () =
+  let engine =
+    Cylog.Engine.load
+      (Cylog.Parser.parse_exn
+         ("rules:\n"
+         ^ String.concat ""
+             (List.init 12 (fun i -> Printf.sprintf "  Item(id:%d);\n" i))
+         ^ "  Q: LabelOf(id, label)/open <- Item(id);\n"))
+  in
+  Option.iter (Cylog.Engine.set_sink engine) sink;
+  let truth (o : Cylog.Engine.open_tuple) =
+    match Reldb.Tuple.get_or_null o.bound "id" with
+    | Reldb.Value.Int i -> [ ("label", v_str [| "cat"; "dog"; "bird" |].(i mod 3)) ]
+    | _ -> []
+  in
+  let workers =
+    List.map
+      (fun (w : Crowd.Worker.profile) -> (v_str w.name, w))
+      (Crowd.Worker.crowd Crowd.Worker.diligent 4 @ [ Crowd.Worker.sloppy "s1" ])
+  in
+  let policy = Cylog.Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 5 } in
+  (engine, Crowd.Simulator.run_routed ~seed:7 ~policy ~truth ~workers engine)
+
+(* The campaign's outcome, pinned: routing, the answer model and the
+   round loop must keep every draw where it was. *)
+let test_routed_campaign_pinned () =
+  let engine, outcome = routed_campaign () in
+  Alcotest.(check int) "rounds" 7 outcome.rounds;
+  Alcotest.(check bool) "stopped: no value question pending" true
+    (outcome.stop_reason = `Stopped);
+  Alcotest.(check int) "log entries" 33 (List.length outcome.log);
+  Alcotest.(check int) "answers accepted" 33
+    (Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine) "answers.accepted");
+  Alcotest.(check (list (pair string int))) "no rejections" []
+    (List.map (fun (w, n) -> (Reldb.Value.to_display w, n)) outcome.rejections);
+  Alcotest.(check (list (pair string (list int)))) "worker stats"
+    [ ("s1", [ 6; 6; 6 ]); ("w1", [ 7; 7; 7 ]); ("w2", [ 6; 6; 6 ]);
+      ("w3", [ 7; 7; 7 ]); ("w4", [ 7; 7; 7 ]) ]
+    (List.map
+       (fun (w, (s : Crowd.Simulator.worker_stat)) ->
+         (Reldb.Value.to_display w, [ s.routed; s.answered; s.early_stop_credit ]))
+       outcome.worker_stats)
+
+(* A routed campaign runs Simulator.run's round loop, so its trace has a
+   [round] span per round under the campaign span. *)
+let test_routed_campaign_round_spans () =
+  let sink = Cylog.Telemetry.Sink.ring 100_000 in
+  let _, outcome = routed_campaign ~sink () in
+  let rounds =
+    List.filter
+      (fun (s : Cylog.Telemetry.span) -> s.name = "round")
+      (Cylog.Telemetry.Sink.contents sink)
+  in
+  Alcotest.(check int) "one round span per round" outcome.rounds (List.length rounds)
+
 let suite =
   [ ( "crowd.worker",
       [ Alcotest.test_case "constructors" `Quick test_worker_constructors ] );
@@ -141,4 +198,7 @@ let suite =
         Alcotest.test_case "stalls when all pass" `Quick test_simulator_stalls_when_all_pass;
         Alcotest.test_case "bounded rounds" `Quick test_simulator_max_rounds;
         Alcotest.test_case "progress recorded" `Quick test_simulator_progress_recorded;
-        Alcotest.test_case "deterministic under seed" `Quick test_simulator_deterministic ] ) ]
+        Alcotest.test_case "deterministic under seed" `Quick test_simulator_deterministic;
+        Alcotest.test_case "routed campaign pinned" `Quick test_routed_campaign_pinned;
+        Alcotest.test_case "routed campaign emits round spans" `Quick
+          test_routed_campaign_round_spans ] ) ]

@@ -150,36 +150,13 @@ let test_campaign_recount () =
    journal, so recounting must reproduce them like every other derived
    metric, before and after checkpoint/restore. Worker reputation rides
    along — it is derived state rebuilt by replay, so the restored engine's
-   reliability table must match the original's. *)
-let adaptive_campaign ~seed () =
-  let src =
-    {|rules:
-  Item(id:1); Item(id:2); Item(id:3); Item(id:4); Item(id:5); Item(id:6);
-  Q: LabelOf(id, label)/open <- Item(id);
-|}
-  in
-  let engine = Engine.load (Parser.parse_exn src) in
-  let truth (o : Engine.open_tuple) =
-    let label =
-      match Reldb.Tuple.get_or_null o.bound "id" with
-      | Reldb.Value.Int i -> [| "cat"; "dog"; "eel" |].(i mod 3)
-      | _ -> "cat"
-    in
-    [ ("label", Reldb.Value.String label) ]
-  in
-  let workers =
-    List.map
-      (fun (w : Crowd.Worker.profile) -> (Reldb.Value.String w.name, w))
-      (Crowd.Worker.crowd Crowd.Worker.diligent 3 @ [ Crowd.Worker.sloppy "s1" ])
-  in
-  let policy = Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 5 } in
-  ignore (Crowd.Simulator.run_routed ~seed ~policy ~truth ~workers engine);
-  engine
-
+   reliability table must match the original's. The campaign is
+   {!Test_differential.adaptive_campaign_engine} under production
+   evaluation. *)
 let test_adaptive_campaign_recount () =
   List.iter
     (fun seed ->
-      let engine = adaptive_campaign ~seed () in
+      let engine = Test_differential.adaptive_campaign_engine ~use_delta:true ~seed () in
       Alcotest.(check bool)
         (Printf.sprintf "adaptive campaign (seed %d): recount = live" seed)
         true (recount_agrees engine);
